@@ -7,9 +7,13 @@ accumulate across multiple backward calls (sum over a batch); reset leaves
 with :func:`zero_grads` between optimizer steps.
 
 Only the primitives the forecasting layers need are implemented: elementwise
-arithmetic with broadcasting, 2-D matmul, sigmoid/tanh/exp, reductions,
-concatenation/stacking, row gathering and basic indexing.  Everything runs
-single-threaded over numpy, so identical inputs give bit-identical results.
+arithmetic with broadcasting, 2-D matmul, the fused affine map
+:func:`linear` (``x @ W.T + b`` as one node), sigmoid/tanh/exp, reductions,
+concatenation/stacking, row gathering, the segment sum of rows by index
+(:meth:`Tensor.scatter_rows`, the adjoint of gathering) and basic indexing.
+Both row primitives sum through :func:`segment_sum`, which costs time and
+memory linear in the number of rows summed.  Everything runs single-threaded
+over numpy, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -44,6 +48,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def segment_sum(values, index, n_rows: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``n_rows`` rows: row ``index[k]`` gets ``values[k]``.
+
+    Rows that no index hits stay zero.  Each output row accumulates its
+    inputs in index order, so the result is deterministic and bit-identical
+    to ``np.add.at``; one flat ``np.bincount`` over (row, column) cells does
+    the work without materializing any (n_rows, len(index)) array.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    index = np.asarray(index, dtype=np.int64)
+    width = int(np.prod(values.shape[1:], dtype=np.int64))
+    cells = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(cells, weights=values.reshape(index.size, width).ravel(),
+                      minlength=n_rows * width)
+    return out.reshape((n_rows,) + values.shape[1:])
 
 
 class Tensor:
@@ -201,14 +222,15 @@ class Tensor:
     def gather_rows(self, index: np.ndarray):
         """Select rows by integer index; duplicate indices accumulate on backward."""
         index = np.asarray(index, dtype=np.int64)
-        out_data = self.data[index]
+        n_rows = self.data.shape[0]
+        return Tensor._make(self.data[index], (self,),
+                            lambda g: (segment_sum(g, index, n_rows),))
 
-        def backward(g):
-            gx = np.zeros_like(self.data)
-            np.add.at(gx, index, g)
-            return (gx,)
-
-        return Tensor._make(out_data, (self,), backward)
+    def scatter_rows(self, index: np.ndarray, n_rows: int):
+        """Sum row ``k`` into output row ``index[k]`` of ``n_rows``; the adjoint of gather_rows."""
+        index = np.asarray(index, dtype=np.int64)
+        return Tensor._make(segment_sum(self.data, index, n_rows), (self,),
+                            lambda g: (g[index],))
 
     # -- graph traversal --------------------------------------------------------
 
@@ -259,6 +281,24 @@ class Tensor:
                 else:
                     grads[key] = pg
         # interior tensors with explicitly requested grads are not retained
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight.T + bias`` of row-stacked inputs, as one tape node."""
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        raise ValueError("linear supports 2-D operands only")
+    out_data = x.data @ weight.data.T
+    parents = (x, weight)
+    if bias is not None:
+        out_data += bias.data
+        parents += (bias,)
+
+    def backward(g):
+        gx = g @ weight.data if x.requires_grad else None
+        gw = g.T @ x.data if weight.requires_grad else None
+        return gx, gw, (g.sum(axis=0) if bias is not None else None)
+
+    return Tensor._make(out_data, parents, backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -68,12 +68,6 @@ class StationNetwork:
         """(L, 2) array of (latitude, longitude)."""
         return np.array([[s.latitude, s.longitude] for s in self.stations], dtype=float)
 
-    def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_stations, dtype=np.int64)
-        if self.n_edges:
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
-
 
 @dataclass
 class EdgeAttributeFrame:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, concat, stack
+from .autodiff import Tensor, concat, linear
 from .errors import NumericError
 
 LOCATION_SCALE = np.array([90.0, 180.0])  # degrees -> [-1, 1]
@@ -44,10 +44,7 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"{self.name}: expected input dim {self.in_dim}, got {x.shape[-1]}")
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def params(self):
         yield f"{self.name}.weight", self.weight
@@ -96,8 +93,9 @@ class GruCell:
 class GraphLayout:
     """Static per-network indexing shared by the graph layers.
 
-    Holds the (source, sink) index arrays and a constant one-hot sink matrix
-    used to aggregate per-edge messages into per-node sums via matmul.
+    Holds the (source, sink) index arrays and each node's in-degree.  Per-edge
+    messages are summed into their sink nodes by a segment sum over the sink
+    index, so time and memory grow linearly with the number of edges.
     """
 
     def __init__(self, edges: np.ndarray, n_nodes: int):
@@ -106,18 +104,11 @@ class GraphLayout:
         self.n_edges = int(edges.shape[0])
         self.src = edges[:, 0]
         self.dst = edges[:, 1]
-        sink = np.zeros((self.n_nodes, self.n_edges))
-        if self.n_edges:
-            sink[self.dst, np.arange(self.n_edges)] = 1.0
-        self._sink = Tensor(sink)
-        deg = np.zeros(self.n_nodes)
-        if self.n_edges:
-            np.add.at(deg, self.dst, 1.0)
-        self.in_degree = deg
+        self.in_degree = np.bincount(self.dst, minlength=self.n_nodes)
 
     def aggregate(self, per_edge: Tensor) -> Tensor:
         """Sum per-edge rows into their sink nodes: (E, d) -> (L, d)."""
-        return self._sink @ per_edge
+        return per_edge.scatter_rows(self.dst, self.n_nodes)
 
 
 def _segment_softmax(logits: Tensor, dst: np.ndarray, layout: GraphLayout) -> Tensor:
@@ -210,8 +201,10 @@ class LuongAttention:
 
     score_t = dec . (W_score enc_t); weights = softmax over history steps;
     context = sum_t weight_t * enc_t; out = tanh(W_out [context, dec]).
-    Applied per node: row i of the decoder state attends over row i of each
-    history entry.
+    The history comes stacked as one (H, L, d) tensor and row i of the
+    decoder state attends over row i of each history entry.  The score is
+    computed as (dec W_score) . enc_t, so the score matrix meets the decoder
+    state once per call rather than every history entry.
     """
 
     def __init__(self, rng, hidden_dim: int, bias: bool = True, name: str = "attention"):
@@ -220,17 +213,17 @@ class LuongAttention:
         self.w_score = Linear(rng, hidden_dim, hidden_dim, bias=False, name=f"{name}.score")
         self.w_out = Linear(rng, 2 * hidden_dim, hidden_dim, bias=bias, name=f"{name}.out")
 
-    def __call__(self, history: list[Tensor], decoder_state: Tensor) -> Tensor:
-        if not history:
+    def __call__(self, history: Tensor, decoder_state: Tensor) -> Tensor:
+        if history.shape[0] == 0:
             raise ValueError(f"{self.name}: empty encoder history")
-        n_steps = len(history)
-        n_rows = decoder_state.shape[0]
-        logits = stack([(decoder_state * self.w_score(h)).sum(axis=1) for h in history], axis=0)
+        n_steps, n_rows = history.shape[:2]
+        query = decoder_state @ self.w_score.weight
+        logits = (history * query).sum(axis=2)
         _check_finite(f"{self.name} scores", logits.data)
         shift = logits.data.max(axis=0)  # constant; softmax is shift-invariant
         exp = (logits - shift).exp()
         weights = exp / exp.sum(axis=0, keepdims=True)
-        context = (weights.reshape(n_steps, n_rows, 1) * stack(history, axis=0)).sum(axis=0)
+        context = (weights.reshape(n_steps, n_rows, 1) * history).sum(axis=0)
         return self.w_out(concat([context, decoder_state], axis=1)).tanh()
 
     def params(self):

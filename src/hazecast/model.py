@@ -236,12 +236,16 @@ class Forecaster:
         h = self.encoder_gru.step(h_prev, gru_in)
         return h, self.encoder_head(h)
 
-    def decoder_step(self, xbar: Tensor, prev_y: Tensor, h_prev: Tensor, history: list[Tensor]):
-        """One forecast step from the previous prediction and calendar features."""
+    def decoder_step(self, xbar: Tensor, prev_y: Tensor, h_prev: Tensor, history: Tensor | None):
+        """One forecast step from the previous prediction and calendar features.
+
+        ``history`` is the encoder's hidden states stacked as (H, L, hidden);
+        only the attention decoder reads it.
+        """
         h = self.decoder_gru.step(h_prev, concat([xbar, prev_y], axis=1))
         if self.attention is not None:
-            if not history:
-                raise ValueError("attention decoder needs a non-empty encoder history")
+            if history is None:
+                raise ValueError("attention decoder needs the encoder history")
             out = self.attention(history, h)
         else:
             out = h
@@ -292,10 +296,11 @@ class Forecaster:
         # the decoder starts from the encoder's final per-step prediction
         prev = enc_preds[-1] if return_encoder_preds else self.encoder_head(h)
 
+        memory = stack(history, axis=0) if self.attention is not None else None
         dec_h = h
         outs: list[Tensor] = []
         for t in range(h_steps, h_steps + f_steps):
-            dec_h, prev = self.decoder_step(xbar[t], prev, dec_h, history)
+            dec_h, prev = self.decoder_step(xbar[t], prev, dec_h, memory)
             outs.append(prev.reshape(n))
         preds = stack(outs, axis=0)
         if return_encoder_preds:

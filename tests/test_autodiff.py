@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor, concat, stack, zero_grads
+from hazecast.autodiff import Tensor, concat, linear, segment_sum, stack, zero_grads
 
 from gradcheck import assert_gradients_match
 
@@ -166,3 +166,93 @@ def test_determinism_bitwise():
     l2, g2 = run()
     assert l1.tobytes() == l2.tobytes()
     assert g1.tobytes() == g2.tobytes()
+
+
+# ---------------------------------------------------------------- segment sum
+
+
+def add_at_oracle(values, index, n_rows):
+    out = np.zeros((n_rows,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+@pytest.mark.parametrize("width", [None, 1, 5])
+def test_segment_sum_bit_identical_to_add_at(width):
+    rng = np.random.default_rng(20)
+    index = rng.choice([0, 1, 3], size=60)  # repeated; rows 2, 4 and 5 are never hit
+    shape = (index.size,) if width is None else (index.size, width)
+    # long sums over mixed magnitudes make the summation order visible
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+    got = segment_sum(values, index, 6)
+    expected = add_at_oracle(values, index, 6)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert np.all(got[[2, 4, 5]] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_segment_sum_empty_index(shape):
+    got = segment_sum(np.zeros(shape), np.zeros(0, dtype=np.int64), 4)
+    assert got.shape == (4,) + shape[1:]
+    assert np.all(got == 0.0)
+
+
+def test_scatter_rows_gradients():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    index = np.array([2, 0, 2, 2, 1])  # row 3 of the output is never hit
+    probe = rng.normal(size=(4, 3))
+
+    def loss():
+        return (x.scatter_rows(index, 4) * probe).sum()
+
+    assert_gradients_match(loss, {"x": x})
+
+
+# ---------------------------------------------------------------- fused affine map
+
+
+def test_linear_matches_matmul_plus_bias():
+    rng = np.random.default_rng(22)
+    x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
+    out = linear(Tensor(x), Tensor(w), Tensor(b))
+    assert np.allclose(out.data, x @ w.T + b, rtol=1e-14)
+    assert np.allclose(linear(Tensor(x), Tensor(w)).data, x @ w.T, rtol=1e-14)
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_gradients(with_bias):
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True) if with_bias else None
+    probe = rng.normal(size=(4, 2))
+
+    def loss():
+        return (linear(x, w, b).tanh() * probe).sum()
+
+    tensors = {"x": x, "w": w}
+    if with_bias:
+        tensors["b"] = b
+    assert_gradients_match(loss, tensors)
+
+
+def test_linear_gradients_input_without_grad():
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    probe = rng.normal(size=(4, 2))
+
+    def loss():
+        return (linear(x, w, b).tanh() * probe).sum()
+
+    assert_gradients_match(loss, {"w": w, "b": b})
+    assert x.grad is None
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [((3,), (2, 3)), ((4, 3), (2, 3, 1)), ((1, 4, 3), (2, 3))])
+def test_linear_rejects_non_2d_operands(x_shape, w_shape):
+    with pytest.raises(ValueError, match="2-D"):
+        linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor
+from hazecast.autodiff import Tensor, stack
 from hazecast.errors import NumericError
 from hazecast.layers import (
     GraphLayout,
@@ -108,6 +109,49 @@ class TestGruCell:
         tensors = params_dict(cell)
         tensors["h_prev"], tensors["x"] = h_prev, x
         assert_gradients_match(loss, tensors)
+
+
+# ---------------------------------------------------------------- graph layout
+
+
+class TestGraphLayout:
+    def test_in_degree_counts_in_edges(self):
+        layout = tiny_graph()
+        assert layout.in_degree.tolist() == [1, 0, 2]
+
+    def test_aggregate_sums_into_sinks(self):
+        per_edge = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = tiny_graph().aggregate(Tensor(per_edge)).data
+        assert out.tolist() == [[5.0, 6.0], [0.0, 0.0], [4.0, 6.0]]
+
+    def test_aggregate_gradients(self):
+        rng = np.random.default_rng(30)
+        layout = tiny_graph()  # node 1 has no in-edges
+        per_edge = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        probe = rng.normal(size=(3, 2))
+
+        def loss():
+            return (layout.aggregate(per_edge) * probe).sum()
+
+        assert_gradients_match(loss, {"per_edge": per_edge})
+
+    def test_memory_linear_in_edges(self):
+        # ~9k edges on 1000 nodes: a dense (nodes x edges) sink would be 72 MB
+        rng = np.random.default_rng(31)
+        n_nodes = 1000
+        pairs = rng.integers(0, n_nodes, size=(9500, 2))
+        edges = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+        assert edges.shape[0] > 8500
+        message = Tensor(rng.normal(size=(edges.shape[0], 64)))
+        tracemalloc.start()
+        try:
+            layout = GraphLayout(edges, n_nodes)
+            out = layout.aggregate(message)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n_nodes, 64)
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------- TransformerConv
@@ -301,7 +345,7 @@ class TestLuongAttention:
         attn = LuongAttention(rng, hidden_dim=3)
         enc = rng.normal(size=(2, 3))
         dec = Tensor(rng.normal(size=(2, 3)))
-        out = attn([Tensor(enc)], dec).data
+        out = attn(stack([Tensor(enc)]), dec).data
         joint = np.concatenate([enc, dec.data], axis=1)
         expected = np.tanh(joint @ attn.w_out.weight.data.T + attn.w_out.bias.data)
         assert np.allclose(out, expected, rtol=1e-14)
@@ -312,7 +356,7 @@ class TestLuongAttention:
         attn.w_score.weight.data[...] = 0.0
         history = [Tensor(rng.normal(size=(3, 2))) for _ in range(4)]
         dec = Tensor(rng.normal(size=(3, 2)))
-        out = attn(history, dec).data
+        out = attn(stack(history), dec).data
         mean_ctx = sum(h.data for h in history) * 0.25
         joint = np.concatenate([mean_ctx, dec.data], axis=1)
         expected = np.tanh(joint @ attn.w_out.weight.data.T + attn.w_out.bias.data)
@@ -323,7 +367,7 @@ class TestLuongAttention:
         attn = LuongAttention(rng, hidden_dim=3)
         history = [rng.normal(size=(2, 3)) for _ in range(4)]
         dec = rng.normal(size=(2, 3))
-        out = attn([Tensor(h) for h in history], Tensor(dec)).data
+        out = attn(stack([Tensor(h) for h in history]), Tensor(dec)).data
 
         wa = attn.w_score.weight.data
         wo, bo = attn.w_out.weight.data, attn.w_out.bias.data
@@ -341,7 +385,7 @@ class TestLuongAttention:
         rng = np.random.default_rng(0)
         attn = LuongAttention(rng, hidden_dim=2)
         with pytest.raises(ValueError, match="empty"):
-            attn([], Tensor(np.zeros((1, 2))))
+            attn(Tensor(np.zeros((0, 1, 2))), Tensor(np.zeros((1, 2))))
 
     def test_gradients(self):
         rng = np.random.default_rng(14)
@@ -351,13 +395,36 @@ class TestLuongAttention:
         probe = rng.normal(size=(2, 3))
 
         def loss():
-            return (attn(history, dec) * probe).sum()
+            return (attn(stack(history), dec) * probe).sum()
 
         tensors = params_dict(attn)
         tensors["dec"] = dec
         for k, h in enumerate(history):
             tensors[f"enc{k}"] = h
         assert_gradients_match(loss, tensors)
+
+    def test_tape_size_independent_of_history_length(self):
+        rng = np.random.default_rng(15)
+        attn = LuongAttention(rng, hidden_dim=3)
+        counts = []
+        for n_steps in (2, 24):
+            history = Tensor(rng.normal(size=(n_steps, 4, 3)), requires_grad=True)
+            dec = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+            counts.append(recorded_nodes(attn(history, dec), stop=(history, dec)))
+        assert counts[0] == counts[1]
+
+
+def recorded_nodes(output, stop):
+    """Tape nodes reachable from ``output`` without passing through ``stop`` or leaves."""
+    stop_ids = {id(t) for t in stop}
+    seen, todo = set(), [output]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or id(node) in stop_ids or node._backward is None:
+            continue
+        seen.add(id(node))
+        todo.extend(node._parents)
+    return len(seen)
 
 
 # ---------------------------------------------------------------- embeddings

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor, concat
+from hazecast.autodiff import Tensor, concat, stack
 from hazecast.errors import UsageError
 from hazecast.geo import Station, build_network, edge_attributes_at
 from hazecast.model import Forecaster, ModelConfig, WindowSample, build_variant
@@ -125,7 +125,7 @@ class TestForward:
             h, yhat = model.encoder_step(p, Tensor(sample.edge_feats[t]), h)
             history.append(h)
         xbar = model.embed(*map(int, sample.spacetime[cfg.history_steps]), sample.coords)
-        _, out = model.decoder_step(xbar, yhat, h, history)
+        _, out = model.decoder_step(xbar, yhat, h, stack(history))
         assert np.array_equal(preds[0], out.data.ravel())
 
     @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru", "wgc_gru", "gc_gru", "gru"])
