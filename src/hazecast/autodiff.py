@@ -13,12 +13,17 @@ concatenation/stacking, row gathering, the segment sum of rows by index
 (:meth:`Tensor.scatter_rows`, the adjoint of gathering) and basic indexing.
 Both row primitives sum through :func:`segment_sum`, which costs time and
 memory linear in the number of rows summed.  Everything runs single-threaded
-over numpy, so identical inputs give bit-identical results.
+over numpy (see :func:`single_threaded_blas`), so identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 
@@ -35,6 +40,54 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or None.
+
+    numpy wheels ship OpenBLAS under ``numpy.libs`` (Linux, Windows) or
+    ``numpy/.dylibs`` (macOS); a numpy linked against another BLAS gets None.
+    """
+    base = os.path.dirname(np.__file__)
+    libs = glob.glob(os.path.join(base, os.pardir, "numpy.libs", "*openblas*"))
+    libs += glob.glob(os.path.join(base, ".dylibs", "*openblas*"))
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    The tape's matmuls are small or medium and sit between single-threaded
+    numpy operations.  A second BLAS thread shortens them a little on an idle
+    machine, but its worker spins between calls and every threaded call waits
+    for both threads to get a CPU, so one other busy thread on a two-CPU
+    machine made a 1000-station forecast 2.9x slower with two BLAS threads and
+    no slower with one.  The count is process-wide while the block runs.
+    Without a bundled OpenBLAS this does nothing.
+    """
+    threads = _openblas_threads()
+    prev = threads[0]() if threads else 1
+    if prev != 1:
+        threads[1](1)
+    try:
+        yield
+    finally:
+        if prev != 1:
+            threads[1](prev)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -234,6 +287,7 @@ class Tensor:
 
     # -- graph traversal --------------------------------------------------------
 
+    @single_threaded_blas()
     def backward(self, grad=None):
         """Accumulate gradients of this tensor w.r.t. every reachable leaf."""
         if not self.requires_grad:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, no_grad, stack
+from .autodiff import Tensor, concat, no_grad, single_threaded_blas, stack
 from .container import load_arrays, save_arrays
 from .errors import DataError, UsageError
 from .geo import StationNetwork, baseline_weights
@@ -253,6 +253,7 @@ class Forecaster:
 
     # -- full unroll -----------------------------------------------------------
 
+    @single_threaded_blas()
     def forward(self, sample: WindowSample, return_encoder_preds: bool = False):
         """Predictions for the forecast period, shape (F, L), on the tape.
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor, concat, linear, segment_sum, stack, zero_grads
+from hazecast.autodiff import (Tensor, concat, linear, segment_sum, single_threaded_blas, stack,
+                               zero_grads)
 
 from gradcheck import assert_gradients_match
 
@@ -256,3 +257,32 @@ def test_linear_gradients_input_without_grad():
 def test_linear_rejects_non_2d_operands(x_shape, w_shape):
     with pytest.raises(ValueError, match="2-D"):
         linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+
+def test_single_threaded_blas_restores_thread_count(blas_threads):
+    with single_threaded_blas():
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+def test_single_threaded_blas_restores_after_raise(blas_threads):
+    with pytest.raises(RuntimeError):
+        with single_threaded_blas():
+            raise RuntimeError("inside the block")
+    assert blas_threads() == 2
+
+
+def test_backward_runs_blas_on_one_thread(blas_threads):
+    seen = []
+
+    def backward(g):
+        seen.append(blas_threads())
+        return (2.0 * g,)
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    Tensor._make(2.0 * x.data, (x,), backward).sum().backward()
+    assert seen == [1]
+    assert blas_threads() == 2

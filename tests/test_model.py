@@ -107,6 +107,21 @@ class TestForward:
         assert preds.shape == (2, 3)
         assert np.all(preds == 0.0)
 
+    def test_forward_runs_blas_on_one_thread(self, blas_threads, monkeypatch):
+        net = toy_network()
+        model = build_variant(config("agnn_gru", net), net, seed=0)
+        seen = []
+        embed = model.embed
+
+        def spy(*args):
+            seen.append(blas_threads())
+            return embed(*args)
+
+        monkeypatch.setattr(model, "embed", spy)
+        model.predict(toy_sample(net))
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
     def test_single_forecast_step_shape_and_composition(self):
         net = toy_network()
         cfg = config("agnn_gru", net, f=1)
