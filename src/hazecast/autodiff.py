@@ -10,7 +10,7 @@ Only the primitives the forecasting layers need are implemented: elementwise
 arithmetic with broadcasting, 2-D matmul, the fused affine map
 :func:`linear` (``x @ W.T + b`` as one node), sigmoid/tanh/exp, reductions,
 concatenation/stacking, row gathering, the segment sum of rows by index
-(:meth:`Tensor.scatter_rows`, the adjoint of gathering) and basic indexing.
+(:meth:`Tensor.scatter_rows`, the adjoint of gathering) and reshaping.
 Both row primitives sum through :func:`segment_sum`, which costs time and
 memory linear in the number of rows summed.  Everything runs single-threaded
 over numpy (see :func:`single_threaded_blas`), so identical inputs give
@@ -255,22 +255,6 @@ class Tensor:
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
         return Tensor._make(out_data, (self,), lambda g: (g.reshape(self.shape),))
-
-    @property
-    def T(self):
-        if self.data.ndim != 2:
-            raise ValueError("T supports 2-D tensors only")
-        return Tensor._make(self.data.T.copy(), (self,), lambda g: (g.T,))
-
-    def __getitem__(self, key):
-        out_data = self.data[key]
-
-        def backward(g):
-            gx = np.zeros_like(self.data)
-            np.add.at(gx, key, g)
-            return (gx,)
-
-        return Tensor._make(np.array(out_data, copy=True), (self,), backward)
 
     def gather_rows(self, index: np.ndarray):
         """Select rows by integer index; duplicate indices accumulate on backward."""

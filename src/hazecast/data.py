@@ -4,7 +4,8 @@ A corpus is a directory of per-station CSV series plus a manifest declaring
 cadence, timezone, the station file and the temporal split dates.  The
 pipeline is: load -> impute gaps -> build the station graph and its per-step
 edge attributes from the raw wind components -> compute standardization
-statistics on the training rows only -> cache everything model-ready.
+statistics on the training rows only -> cache everything model-ready ->
+cut the cache into :class:`WindowSample` windows for the forecasters.
 
 Timestamps are naive local times; the manifest's timezone field documents
 their locality but no conversion is applied.
@@ -15,11 +16,12 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
+from .autodiff import single_threaded_blas
 from .container import load_arrays, save_arrays
 from .errors import DataError, UsageError
 from .geo import (
@@ -31,7 +33,6 @@ from .geo import (
     read_stations_csv,
 )
 from .kvfile import read_keyvalue
-from .model import WindowSample
 
 FEATURES = ("rh", "temp", "pm25", "pbl", "u10", "v10", "kindex", "sp", "tp")
 TARGET = "pm25"
@@ -241,25 +242,17 @@ def load_corpus(manifest: Manifest, stations: list[Station] | None = None) -> tu
 # --------------------------------------------------------------------------- calendar
 
 
-def timestamp_features(ts) -> tuple[int, int, int]:
-    """(hour 0-23, weekday 0-6 with Monday 0, month 1-12) of a timestamp."""
-    if isinstance(ts, np.datetime64):
-        ts = ts.astype("datetime64[s]").tolist()
-    if not isinstance(ts, datetime):
-        raise DataError(f"unparseable timestamp {ts!r}")
-    return ts.hour, ts.weekday(), ts.month
-
-
 def spacetime_features(timestamps: np.ndarray) -> np.ndarray:
-    """(T, 3) int64 array of (hour, weekday, month) per timestamp."""
-    return np.array([timestamp_features(t) for t in timestamps], dtype=np.int64)
+    """(T, 3) int64 array of (hour 0-23, weekday 0-6 with Monday 0, month 1-12).
 
-
-def steps_for_hours(hours: float, cadence_hours: float, what: str = "length") -> int:
-    steps = hours / cadence_hours
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise UsageError(f"{what} of {hours} h is not a positive multiple of the {cadence_hours} h cadence")
-    return int(round(steps))
+    Computed by datetime64 arithmetic: 1970-01-01, day 0, was a Thursday.
+    """
+    ts = np.asarray(timestamps, dtype="datetime64")
+    days = ts.astype("datetime64[D]")
+    hour = (ts.astype("datetime64[h]") - days).astype(np.int64)
+    weekday = (days.astype(np.int64) + 3) % 7
+    month = ts.astype("datetime64[M]").astype(np.int64) % 12 + 1
+    return np.column_stack([hour, weekday, month])
 
 
 # --------------------------------------------------------------------------- splits
@@ -293,6 +286,7 @@ def split_temporal(timestamps: np.ndarray, spec: SplitSpec) -> dict[str, tuple[i
 # --------------------------------------------------------------------------- imputation
 
 
+@single_threaded_blas()
 def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
     """Fill gaps by iterated per-feature linear regression on the other features.
 
@@ -300,7 +294,8 @@ def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
     refits every feature (in column order) against the current values of the
     others by least squares and re-predicts only the missing cells.  The
     procedure is deterministic and leaves observed cells untouched, so a
-    complete panel comes back unchanged.
+    complete panel comes back unchanged.  The fits run numpy's BLAS on one
+    thread, for the reason :func:`~hazecast.autodiff.single_threaded_blas` gives.
     """
     if iterations < 1:
         raise UsageError("imputation needs at least one iteration")
@@ -372,10 +367,6 @@ class StandardizationStats:
         k = self.index_of(feature)
         return values * self.std[k] + self.mean[k]
 
-    def standardize_feature(self, values: np.ndarray, feature: str) -> np.ndarray:
-        k = self.index_of(feature)
-        return (values - self.mean[k]) / self.std[k]
-
 
 def compute_stats(panel: RawPanel, train_rows: tuple[int, int]) -> StandardizationStats:
     """Training-split standardization; constant non-target features are dropped."""
@@ -405,6 +396,53 @@ def compute_stats(panel: RawPanel, train_rows: tuple[int, int]) -> Standardizati
 
 
 @dataclass
+class WindowSample:
+    """One training/evaluation window.
+
+    Node attributes, history targets and edge attributes span the history
+    period only; the calendar/location features span history + forecast.
+    ``y_future`` may be absent for pure forecasting.
+    """
+
+    x: np.ndarray                     # (H, L, node_dim)
+    y_hist: np.ndarray                # (H, L)
+    spacetime: np.ndarray             # (H+F, 3) int: hour, dow, month
+    coords: np.ndarray                # (L, 2) latitude, longitude
+    y_future: np.ndarray | None = None        # (F, L)
+    edge_feats: np.ndarray | None = None      # (H, E, 5), columns as geo.EDGE_FEATURES
+    timestamps_future: np.ndarray | None = None  # (F,) datetime64
+
+    @property
+    def history_steps(self) -> int:
+        return int(self.x.shape[0])
+
+    @property
+    def forecast_steps(self) -> int:
+        return int(self.spacetime.shape[0] - self.x.shape[0])
+
+    @property
+    def n_stations(self) -> int:
+        return int(self.coords.shape[0])
+
+    def validate(self) -> None:
+        h, f, n = self.history_steps, self.forecast_steps, self.n_stations
+        if h <= 0 or f <= 0:
+            raise ValueError(f"window needs positive history/forecast lengths, got H={h}, F={f}")
+        if self.x.shape[:2] != (h, n) or self.y_hist.shape != (h, n):
+            raise ValueError("inconsistent history shapes in window")
+        if self.y_future is not None and self.y_future.shape != (f, n):
+            raise ValueError("inconsistent forecast target shape in window")
+        if self.spacetime.shape != (h + f, 3):
+            raise ValueError("spacetime features must cover history + forecast")
+        for name, arr in (("x", self.x), ("y_hist", self.y_hist),
+                          ("y_future", self.y_future), ("edge_feats", self.edge_feats)):
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite values in window field {name}")
+        if self.edge_feats is not None and self.edge_feats.shape[0] != h:
+            raise ValueError("edge attributes must span exactly the history period")
+
+
+@dataclass
 class PreparedData:
     """Model-ready corpus: standardized panels, graph, splits and statistics."""
 
@@ -425,10 +463,6 @@ class PreparedData:
     cadence_hours: float
     timezone: str
     threshold_km: float
-
-    @property
-    def x_features(self) -> tuple[str, ...]:
-        return tuple(f for f in self.stats.features if f != self.stats.target)
 
     @property
     def node_dim(self) -> int:
@@ -568,7 +602,7 @@ def prepare_corpus(manifest: Manifest, threshold_km: float,
     frames = np.zeros((complete.n_steps, network.n_edges, len(EDGE_FEATURES)))
     for t in range(complete.n_steps):
         wind = np.column_stack([complete.values[t, :, u_idx], complete.values[t, :, v_idx]])
-        frames[t] = edge_attributes_at(network, wind).values
+        frames[t] = edge_attributes_at(network, wind)
 
     stats = compute_stats(complete, splits["train"])
     kept_idx = [complete.features.index(f) for f in stats.features]

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so library code should pick the
-most specific class that applies instead of raising bare exceptions.
+Library code should pick the most specific class that applies instead of
+raising bare exceptions; each class names a distinct process exit code.
 """
 
 

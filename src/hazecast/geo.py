@@ -11,7 +11,7 @@ timestep from the wind field.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,29 +67,6 @@ class StationNetwork:
     def coordinates(self) -> np.ndarray:
         """(L, 2) array of (latitude, longitude)."""
         return np.array([[s.latitude, s.longitude] for s in self.stations], dtype=float)
-
-
-@dataclass
-class EdgeAttributeFrame:
-    """Dynamic edge attributes for one timestep.
-
-    ``values`` has one row per edge, columns ordered as :data:`EDGE_FEATURES`:
-    distance (km), bearing (deg), source wind speed (m/s), source wind
-    direction (deg, toward-convention) and the advection coefficient (m/s).
-    """
-
-    values: np.ndarray  # (E, 5)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != len(EDGE_FEATURES):
-            raise ValueError(f"edge attribute frame must be (E, {len(EDGE_FEATURES)})")
-        if self.values.shape[0] and np.any(self.values[:, 4] < 0):
-            raise ValueError("advection coefficient must be non-negative")
-
-    @property
-    def advection(self) -> np.ndarray:
-        return self.values[:, 4]
 
 
 def _haversine_km(lat1, lon1, lat2, lon2):
@@ -211,39 +188,33 @@ def wind_speed_direction(u10, v10):
     return speed, direction
 
 
-def edge_attributes_at(network: StationNetwork, wind: np.ndarray) -> EdgeAttributeFrame:
-    """Dynamic edge attributes for one timestep from a per-station wind field.
+def edge_attributes_at(network: StationNetwork, wind: np.ndarray) -> np.ndarray:
+    """Edge attributes for one timestep from a per-station wind field, as (E, 5).
 
-    ``wind`` is an (L, 2) array of (u10, v10) in m/s.  Wind speed, direction
-    and the advection coefficient are taken at the source station of each
-    edge.
+    ``wind`` is an (L, 2) array of (u10, v10) in m/s.  The columns follow
+    :data:`EDGE_FEATURES`: distance (km), bearing (deg), source wind speed
+    (m/s), source wind direction (deg, toward-convention) and the advection
+    coefficient (m/s, never negative).  Wind speed, direction and the
+    advection coefficient are taken at the source station of each edge.
     """
     wind = np.asarray(wind, dtype=float)
     if wind.shape != (network.n_stations, 2):
         raise ValueError(f"wind field must have shape ({network.n_stations}, 2), got {wind.shape}")
-    src = network.edges[:, 0] if network.n_edges else np.zeros(0, dtype=np.int64)
+    if not network.n_edges:
+        return np.zeros((0, len(EDGE_FEATURES)))
+    src = network.edges[:, 0]
     speed, direction = wind_speed_direction(wind[src, 0], wind[src, 1])
     adv = advection_coefficient(speed, direction, network.bearing_deg)
-    values = np.column_stack([network.distance_km, network.bearing_deg, speed, direction, adv]) \
-        if network.n_edges else np.zeros((0, len(EDGE_FEATURES)))
-    return EdgeAttributeFrame(values=values)
+    return np.column_stack([network.distance_km, network.bearing_deg, speed, direction, adv])
 
 
-def baseline_weights(network: StationNetwork, mode: str) -> np.ndarray:
-    """Scalar per-edge weights for the ablation message-passing layers.
-
-    ``binary`` gives 1.0 for every retained edge; ``inverse-distance`` gives
-    d_min / d_ij where d_min is the smallest edge distance in the network.
-    """
-    if mode == "binary":
-        return np.ones(network.n_edges, dtype=float)
-    if mode == "inverse-distance":
-        if network.n_edges == 0:
-            raise ValueError("inverse-distance weights need at least one edge")
-        if np.any(network.distance_km <= 0):
-            raise ValueError("zero-distance edge: co-located stations make inverse-distance weights degenerate")
-        return float(network.distance_km.min()) / network.distance_km
-    raise ValueError(f"unknown weight mode {mode!r} (expected 'binary' or 'inverse-distance')")
+def inverse_distance_weights(network: StationNetwork) -> np.ndarray:
+    """Per-edge weights d_min / d_ij, d_min being the smallest edge distance."""
+    if network.n_edges == 0:
+        raise ValueError("inverse-distance weights need at least one edge")
+    if np.any(network.distance_km <= 0):
+        raise ValueError("zero-distance edge: co-located stations make inverse-distance weights degenerate")
+    return float(network.distance_km.min()) / network.distance_km
 
 
 def read_stations_csv(path) -> list[Station]:

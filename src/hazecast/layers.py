@@ -111,14 +111,14 @@ class GraphLayout:
         return per_edge.scatter_rows(self.dst, self.n_nodes)
 
 
-def _segment_softmax(logits: Tensor, dst: np.ndarray, layout: GraphLayout) -> Tensor:
+def _segment_softmax(logits: Tensor, layout: GraphLayout) -> Tensor:
     """Softmax of per-edge logits over the in-edges of each sink, as (E, 1)."""
     _check_finite("attention logits", logits.data)
     shift = np.full(layout.n_nodes, -np.inf)
-    np.maximum.at(shift, dst, logits.data)
-    exp = (logits - shift[dst]).exp().reshape(layout.n_edges, 1)
+    np.maximum.at(shift, layout.dst, logits.data)
+    exp = (logits - shift[layout.dst]).exp().reshape(layout.n_edges, 1)
     denom = layout.aggregate(exp)
-    return exp / denom.gather_rows(dst)
+    return exp / denom.gather_rows(layout.dst)
 
 
 class TransformerConv:
@@ -158,7 +158,7 @@ class TransformerConv:
         query = self.w_query(nodes).gather_rows(layout.dst)
         key = self.w_key(nodes).gather_rows(layout.src) + self.w_edge_key(edge_feats)
         logits = (query * key).sum(axis=1) * (1.0 / math.sqrt(self.key_dim))
-        alpha = _segment_softmax(logits, layout.dst, layout)
+        alpha = _segment_softmax(logits, layout)
         message = self.w_msg(nodes).gather_rows(layout.src) + self.w_edge_msg(edge_feats)
         return root + layout.aggregate(alpha * message)
 

@@ -29,10 +29,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, no_grad, single_threaded_blas, stack
+from .autodiff import Tensor, concat, no_grad, single_threaded_blas, stack, zero_grads
 from .container import load_arrays, save_arrays
+from .data import WindowSample
 from .errors import DataError, UsageError
-from .geo import StationNetwork, baseline_weights
+from .geo import EDGE_FEATURES, StationNetwork, inverse_distance_weights
 from .layers import (
     GraphLayout,
     GruCell,
@@ -43,7 +44,7 @@ from .layers import (
     TransformerConv,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: variant name -> (use_attention, graph_mode)
 VARIANTS = {
@@ -67,11 +68,8 @@ class ModelConfig:
     forecast_steps: int
     node_dim: int
     embed_dim: int = 8
-    edge_dim: int = 5
     use_attention: bool | None = None
     graph_mode: str | None = None
-    use_bias: bool = True
-    gnn_out: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -83,8 +81,6 @@ class ModelConfig:
             self.graph_mode = default_graph
         if self.graph_mode not in GRAPH_MODES:
             raise UsageError(f"unknown graph mode {self.graph_mode!r}")
-        if self.gnn_out is None:
-            self.gnn_out = self.hidden
         if self.hidden <= 0 or self.history_steps <= 0 or self.forecast_steps <= 0:
             raise UsageError("hidden, history_steps and forecast_steps must be positive")
 
@@ -105,53 +101,6 @@ class ModelConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass
-class WindowSample:
-    """One training/evaluation window.
-
-    Node attributes, history targets and edge attributes span the history
-    period only; the calendar/location features span history + forecast.
-    ``y_future`` may be absent for pure forecasting.
-    """
-
-    x: np.ndarray                     # (H, L, node_dim)
-    y_hist: np.ndarray                # (H, L)
-    spacetime: np.ndarray             # (H+F, 3) int: hour, dow, month
-    coords: np.ndarray                # (L, 2) latitude, longitude
-    y_future: np.ndarray | None = None        # (F, L)
-    edge_feats: np.ndarray | None = None      # (H, E, edge_dim)
-    timestamps_future: np.ndarray | None = None  # (F,) datetime64
-
-    @property
-    def history_steps(self) -> int:
-        return int(self.x.shape[0])
-
-    @property
-    def forecast_steps(self) -> int:
-        return int(self.spacetime.shape[0] - self.x.shape[0])
-
-    @property
-    def n_stations(self) -> int:
-        return int(self.coords.shape[0])
-
-    def validate(self) -> None:
-        h, f, n = self.history_steps, self.forecast_steps, self.n_stations
-        if h <= 0 or f <= 0:
-            raise ValueError(f"window needs positive history/forecast lengths, got H={h}, F={f}")
-        if self.x.shape[:2] != (h, n) or self.y_hist.shape != (h, n):
-            raise ValueError("inconsistent history shapes in window")
-        if self.y_future is not None and self.y_future.shape != (f, n):
-            raise ValueError("inconsistent forecast target shape in window")
-        if self.spacetime.shape != (h + f, 3):
-            raise ValueError("spacetime features must cover history + forecast")
-        for name, arr in (("x", self.x), ("y_hist", self.y_hist),
-                          ("y_future", self.y_future), ("edge_feats", self.edge_feats)):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in window field {name}")
-        if self.edge_feats is not None and self.edge_feats.shape[0] != h:
-            raise ValueError("edge attributes must span exactly the history period")
-
-
 class Forecaster:
     """A parameterized variant, ready for forward evaluation and training."""
 
@@ -163,35 +112,31 @@ class Forecaster:
             if network is None:
                 raise UsageError(f"graph mode {config.graph_mode!r} needs a station network")
             self.layout = GraphLayout(network.edges, network.n_stations)
-            if config.graph_mode == "binary":
-                deg = self.layout.in_degree[self.layout.dst]
-                self.edge_coef = 1.0 / np.maximum(deg, 1.0)
-            elif config.graph_mode == "inverse-distance":
-                self.edge_coef = baseline_weights(network, "inverse-distance")
-            else:
-                self.edge_coef = None
         else:
             self.layout = None
+        if config.graph_mode == "binary":
+            # mean aggregation: every sink of an edge has in-degree >= 1
+            self.edge_coef = 1.0 / self.layout.in_degree[self.layout.dst]
+        elif config.graph_mode == "inverse-distance":
+            self.edge_coef = inverse_distance_weights(network)
+        else:
             self.edge_coef = None
 
-        bias = config.use_bias
-        p = config.point_dim
-        self.embed = SpaceTimeEmbedding(rng, config.embed_dim, bias=bias, name="embed")
+        p, hidden = config.point_dim, config.hidden
+        self.embed = SpaceTimeEmbedding(rng, config.embed_dim, name="embed")
         if config.graph_mode == "edge-attrs":
-            self.conv = TransformerConv(rng, p, config.gnn_out, config.edge_dim,
-                                        key_dim=config.gnn_out, bias=bias, name="encoder.conv")
+            self.conv = TransformerConv(rng, p, hidden, len(EDGE_FEATURES), name="encoder.conv")
         elif config.graph_mode in ("binary", "inverse-distance"):
-            self.conv = ScalarGraphConv(rng, p, config.gnn_out, bias=bias, name="encoder.conv")
+            self.conv = ScalarGraphConv(rng, p, hidden, name="encoder.conv")
         else:
             self.conv = None
-        enc_in = p + (config.gnn_out if self.conv is not None else 0)
-        self.encoder_gru = GruCell(rng, enc_in, config.hidden, bias=bias, name="encoder.gru")
-        self.encoder_head = Mlp(rng, config.hidden, config.hidden, bias=bias, name="encoder.head")
-        self.decoder_gru = GruCell(rng, config.spacetime_dim + 1, config.hidden,
-                                   bias=bias, name="decoder.gru")
-        self.attention = (LuongAttention(rng, config.hidden, bias=bias, name="decoder.attention")
+        enc_in = p + (hidden if self.conv is not None else 0)
+        self.encoder_gru = GruCell(rng, enc_in, hidden, name="encoder.gru")
+        self.encoder_head = Mlp(rng, hidden, hidden, name="encoder.head")
+        self.decoder_gru = GruCell(rng, config.spacetime_dim + 1, hidden, name="decoder.gru")
+        self.attention = (LuongAttention(rng, hidden, name="decoder.attention")
                           if config.use_attention else None)
-        self.decoder_head = Mlp(rng, config.hidden, config.hidden, bias=bias, name="decoder.head")
+        self.decoder_head = Mlp(rng, hidden, hidden, name="decoder.head")
 
         self.params: dict[str, Tensor] = {}
         for part in (self.embed, self.conv, self.encoder_gru, self.encoder_head,
@@ -215,26 +160,21 @@ class Forecaster:
         return int(sum(t.data.size for n, t in self.params.items() if n.startswith("decoder.attention")))
 
     def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
+        zero_grads(self.params.values())
 
     # -- single steps ------------------------------------------------------
 
-    def _graph_features(self, p: Tensor, edge_feats: Tensor | None) -> Tensor:
+    def encoder_step(self, p: Tensor, edge_feats: Tensor | None, h_prev: Tensor) -> Tensor:
+        """One history step: ``p`` joined to its graph features, then the recurrence."""
+        if self.conv is None:
+            return self.encoder_gru.step(h_prev, p)
         if self.config.graph_mode == "edge-attrs":
             if edge_feats is None:
                 raise ValueError("edge attributes required for graph mode 'edge-attrs'")
-            return self.conv(p, self.layout, edge_feats)
-        return self.conv(p, self.layout, self.edge_coef)
-
-    def encoder_step(self, p: Tensor, edge_feats: Tensor | None, h_prev: Tensor):
-        """One history step: graph features, recurrence, per-step prediction."""
-        if self.conv is not None:
-            gru_in = concat([p, self._graph_features(p, edge_feats)], axis=1)
+            graph = self.conv(p, self.layout, edge_feats)
         else:
-            gru_in = p
-        h = self.encoder_gru.step(h_prev, gru_in)
-        return h, self.encoder_head(h)
+            graph = self.conv(p, self.layout, self.edge_coef)
+        return self.encoder_gru.step(h_prev, concat([p, graph], axis=1))
 
     def decoder_step(self, xbar: Tensor, prev_y: Tensor, h_prev: Tensor, history: Tensor | None):
         """One forecast step from the previous prediction and calendar features.
@@ -254,7 +194,7 @@ class Forecaster:
     # -- full unroll -----------------------------------------------------------
 
     @single_threaded_blas()
-    def forward(self, sample: WindowSample, return_encoder_preds: bool = False):
+    def forward(self, sample: WindowSample) -> Tensor:
         """Predictions for the forecast period, shape (F, L), on the tape.
 
         The encoder consumes node attributes, embeddings and history targets
@@ -275,27 +215,20 @@ class Forecaster:
             if sample.edge_feats is None:
                 raise ValueError("graph mode 'edge-attrs' needs per-step edge attributes")
             if sample.edge_feats.shape[1] != self.layout.n_edges:
-                raise ValueError("edge attribute frame does not match the network edge count")
+                raise ValueError("edge attributes do not match the network edge count")
 
         xbar = [self.embed(int(hh), int(dw), int(mo), sample.coords)
                 for hh, dw, mo in sample.spacetime]
 
         h = Tensor(np.zeros((n, cfg.hidden)))
         history: list[Tensor] = []
-        enc_preds: list[Tensor] = []
         for t in range(h_steps):
             p = concat([Tensor(sample.x[t]), xbar[t], Tensor(sample.y_hist[t].reshape(n, 1))], axis=1)
-            if self.conv is not None:
-                feats = Tensor(sample.edge_feats[t]) if cfg.graph_mode == "edge-attrs" else None
-                gru_in = concat([p, self._graph_features(p, feats)], axis=1)
-            else:
-                gru_in = p
-            h = self.encoder_gru.step(h, gru_in)
+            feats = Tensor(sample.edge_feats[t]) if cfg.graph_mode == "edge-attrs" else None
+            h = self.encoder_step(p, feats, h)
             history.append(h)
-            if return_encoder_preds:
-                enc_preds.append(self.encoder_head(h))
         # the decoder starts from the encoder's final per-step prediction
-        prev = enc_preds[-1] if return_encoder_preds else self.encoder_head(h)
+        prev = self.encoder_head(h)
 
         memory = stack(history, axis=0) if self.attention is not None else None
         dec_h = h
@@ -303,10 +236,7 @@ class Forecaster:
         for t in range(h_steps, h_steps + f_steps):
             dec_h, prev = self.decoder_step(xbar[t], prev, dec_h, memory)
             outs.append(prev.reshape(n))
-        preds = stack(outs, axis=0)
-        if return_encoder_preds:
-            return preds, stack([e.reshape(n) for e in enc_preds], axis=0)
-        return preds
+        return stack(outs, axis=0)
 
     def predict(self, sample: WindowSample) -> np.ndarray:
         """Forward pass without recording gradients; returns an (F, L) array."""
@@ -332,7 +262,10 @@ class Forecaster:
             raise DataError(f"{path}: not a model checkpoint")
         if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {meta.get('checkpoint_version')}")
-        config = ModelConfig(**meta["config"])
+        try:
+            config = ModelConfig(**meta["config"])
+        except TypeError as exc:
+            raise DataError(f"{path}: checkpoint config does not fit this model: {exc}") from None
         model = cls(config, network=network, seed=0)
         missing = set(model.params) - set(arrays)
         extra = set(arrays) - set(model.params)
@@ -344,8 +277,3 @@ class Forecaster:
                                 f"expected {tensor.data.shape}")
             tensor.data[...] = arrays[name]
         return model
-
-
-def build_variant(config: ModelConfig, network: StationNetwork | None = None, seed: int = 0) -> Forecaster:
-    """Construct a parameterized model for the configured variant."""
-    return Forecaster(config, network=network, seed=seed)

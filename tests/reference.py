@@ -108,7 +108,7 @@ def ref_forward(model, sample):
     for t in range(cfg.history_steps):
         p = np.concatenate([sample.x[t], xbar[t], sample.y_hist[t].reshape(n, 1)], axis=1)
         if cfg.graph_mode == "edge-attrs":
-            eta = ref_transformer_conv(w, "encoder.conv", cfg.gnn_out, p, edges, sample.edge_feats[t])
+            eta = ref_transformer_conv(w, "encoder.conv", cfg.hidden, p, edges, sample.edge_feats[t])
             gru_in = np.concatenate([p, eta], axis=1)
         elif cfg.graph_mode in ("binary", "inverse-distance"):
             eta = ref_scalar_conv(w, "encoder.conv", p, edges, model.edge_coef)

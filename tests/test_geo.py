@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from hazecast.errors import DataError
 from hazecast.geo import (
     EDGE_FEATURES,
-    EdgeAttributeFrame,
     Station,
     advection_coefficient,
-    baseline_weights,
     build_network,
     edge_attributes_at,
     haversine_km,
+    inverse_distance_weights,
     initial_bearing_deg,
     read_stations_csv,
     wind_speed_direction,
@@ -223,16 +222,16 @@ class TestEdgeAttributes:
         rng = np.random.default_rng(5)
         net = build_network(random_stations(5, rng), threshold_km=10.0)
         frame = edge_attributes_at(net, np.zeros((5, 2)))
-        assert np.all(frame.values[:, 2] == 0.0)  # speed
-        assert np.all(frame.values[:, 4] == 0.0)  # advection
+        assert np.all(frame[:, 2] == 0.0)  # speed
+        assert np.all(frame[:, 4] == 0.0)  # advection
 
     def test_unit_eastward_wind(self):
         rng = np.random.default_rng(5)
         net = build_network(random_stations(5, rng), threshold_km=10.0)
         wind = np.tile([1.0, 0.0], (5, 1))
         frame = edge_attributes_at(net, wind)
-        assert np.allclose(frame.values[:, 2], 1.0)
-        assert np.allclose(frame.values[:, 3], 90.0)
+        assert np.allclose(frame[:, 2], 1.0)
+        assert np.allclose(frame[:, 3], 90.0)
 
     def test_matches_scalar_formula_oracle(self):
         rng = np.random.default_rng(17)
@@ -246,21 +245,17 @@ class TestEdgeAttributes:
             speed = math.sqrt(u * u + v * v)
             direction = math.degrees(math.atan2(u, v)) % 360.0
             adv = max(0.0, speed * math.cos(math.radians(direction - net.bearing_deg[k])))
-            assert frame.values[k, 0] == pytest.approx(net.distance_km[k])
-            assert frame.values[k, 1] == pytest.approx(net.bearing_deg[k])
-            assert frame.values[k, 2] == pytest.approx(speed, rel=1e-12)
-            assert frame.values[k, 3] == pytest.approx(direction, rel=1e-12)
-            assert frame.values[k, 4] == pytest.approx(adv, rel=1e-10, abs=1e-12)
+            assert frame[k, 0] == pytest.approx(net.distance_km[k])
+            assert frame[k, 1] == pytest.approx(net.bearing_deg[k])
+            assert frame[k, 2] == pytest.approx(speed, rel=1e-12)
+            assert frame[k, 3] == pytest.approx(direction, rel=1e-12)
+            assert frame[k, 4] == pytest.approx(adv, rel=1e-10, abs=1e-12)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(5)
         net = build_network(random_stations(5, rng), threshold_km=10.0)
         with pytest.raises(ValueError):
             edge_attributes_at(net, np.zeros((4, 2)))
-
-    def test_negative_advection_rejected_in_frame(self):
-        with pytest.raises(ValueError):
-            EdgeAttributeFrame(values=np.array([[1.0, 0.0, 1.0, 0.0, -0.5]]))
 
     def test_wind_speed_direction_convention(self):
         speed, direction = wind_speed_direction(1.0, 0.0)
@@ -288,7 +283,7 @@ class TestEdgeAttributes:
     def test_edge_wind_direction_in_range(self):
         net = build_network([S("a", 0.0, 0.0), S("b", 0.027, 0.0)], threshold_km=5.0)
         frame = edge_attributes_at(net, np.tile([-1e-300, 1.0], (2, 1)))
-        direction = frame.values[:, EDGE_FEATURES.index("wind_direction_deg")]
+        direction = frame[:, EDGE_FEATURES.index("wind_direction_deg")]
         assert np.all((direction >= 0.0) & (direction < 360.0))
 
 
@@ -300,13 +295,9 @@ class TestBaselineWeights:
         assert net.n_edges == 4
         return net
 
-    def test_binary_all_ones(self):
-        net = self._net_with_distances_2_and_4()
-        assert np.all(baseline_weights(net, "binary") == 1.0)
-
     def test_inverse_distance_ratios(self):
         net = self._net_with_distances_2_and_4()
-        w = baseline_weights(net, "inverse-distance")
+        w = inverse_distance_weights(net)
         d = net.distance_km
         assert np.allclose(w, d.min() / d)
         assert sorted(np.round(w, 6).tolist()) == pytest.approx(
@@ -315,17 +306,12 @@ class TestBaselineWeights:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
         net = build_network(random_stations(10, rng), threshold_km=8.0)
-        w = baseline_weights(net, "inverse-distance")
+        w = inverse_distance_weights(net)
         dmin = min(net.distance_km)
         for k in range(net.n_edges):
             assert w[k] == pytest.approx(dmin / net.distance_km[k], rel=1e-12)
         assert np.all((w > 0) & (w <= 1.0))
         assert np.any(w == 1.0)
-
-    def test_unknown_mode(self):
-        net = self._net_with_distances_2_and_4()
-        with pytest.raises(ValueError):
-            baseline_weights(net, "fancy")
 
 
 class TestStationIO:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hazecast.autodiff import Tensor, concat, stack
-from hazecast.errors import UsageError
+from hazecast.container import save_arrays
+from hazecast.data import WindowSample
+from hazecast.errors import DataError, UsageError
 from hazecast.geo import Station, build_network, edge_attributes_at
-from hazecast.model import Forecaster, ModelConfig, WindowSample, build_variant
+from hazecast.model import CHECKPOINT_VERSION, Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
 from reference import ref_forward
@@ -30,7 +32,7 @@ def toy_sample(network, h=3, f=2, node_dim=4, seed=1, with_edges=True):
         frames = []
         for _ in range(h):
             wind = rng.normal(0, 3, size=(n, 2))
-            frames.append(edge_attributes_at(network, wind).values)
+            frames.append(edge_attributes_at(network, wind))
         edge_feats = np.stack(frames, axis=0)
     return WindowSample(
         x=rng.normal(size=(h, n, node_dim)),
@@ -54,14 +56,14 @@ class TestBuildVariant:
 
     def test_gru_variant_has_no_graph_parameters(self):
         net = toy_network()
-        model = build_variant(config("gru", net), network=None, seed=0)
+        model = Forecaster(config("gru", net), network=None, seed=0)
         assert model.graph_parameter_count() == 0
         assert model.attention_parameter_count() == 0
 
     def test_attention_is_the_only_difference_between_top_variants(self):
         net = toy_network()
-        agnn = build_variant(config("agnn_gru", net), net, seed=0)
-        gnn = build_variant(config("gnn_gru", net), net, seed=0)
+        agnn = Forecaster(config("agnn_gru", net), net, seed=0)
+        gnn = Forecaster(config("gnn_gru", net), net, seed=0)
         agnn_names = set(agnn.params)
         gnn_names = set(gnn.params)
         assert gnn_names < agnn_names
@@ -73,7 +75,7 @@ class TestBuildVariant:
         net = toy_network()
         cfg = config("agnn_gru", net, node_dim=9, hidden=16, h=3, f=2)
         cfg.embed_dim = 8
-        model = build_variant(cfg, net, seed=0)
+        model = Forecaster(cfg, net, seed=0)
 
         e = 8
         spacetime = 4 * e
@@ -90,16 +92,24 @@ class TestBuildVariant:
         expected += (16 * 16 + 16) + (1 * 16 + 1)                      # decoder head
         assert model.parameter_count() == expected
 
+    def test_mean_coefficients_of_each_sink_sum_to_one(self):
+        net = toy_network(n=6, seed=2)
+        model = Forecaster(config("gc_gru", net), net, seed=0)
+        dst = net.edges[:, 1]
+        assert len(set(dst.tolist())) > 1
+        for sink in set(dst.tolist()):
+            assert model.edge_coef[dst == sink].sum() == pytest.approx(1.0, rel=1e-15)
+
     def test_graph_mode_requires_network(self):
         net = toy_network()
         with pytest.raises(UsageError, match="network"):
-            build_variant(config("agnn_gru", net), network=None, seed=0)
+            Forecaster(config("agnn_gru", net), network=None, seed=0)
 
 
 class TestForward:
     def test_zero_parameters_give_zero_predictions(self):
         net = toy_network()
-        model = build_variant(config("agnn_gru", net), net, seed=0)
+        model = Forecaster(config("agnn_gru", net), net, seed=0)
         for t in model.params.values():
             t.data[...] = 0.0
         sample = toy_sample(net)
@@ -109,7 +119,7 @@ class TestForward:
 
     def test_forward_runs_blas_on_one_thread(self, blas_threads, monkeypatch):
         net = toy_network()
-        model = build_variant(config("agnn_gru", net), net, seed=0)
+        model = Forecaster(config("agnn_gru", net), net, seed=0)
         seen = []
         embed = model.embed
 
@@ -125,7 +135,7 @@ class TestForward:
     def test_single_forecast_step_shape_and_composition(self):
         net = toy_network()
         cfg = config("agnn_gru", net, f=1)
-        model = build_variant(cfg, net, seed=3)
+        model = Forecaster(cfg, net, seed=3)
         sample = toy_sample(net, f=1, seed=4)
         preds = model.predict(sample)
         assert preds.shape == (1, net.n_stations)
@@ -137,8 +147,9 @@ class TestForward:
         for t in range(cfg.history_steps):
             xbar = model.embed(*map(int, sample.spacetime[t]), sample.coords)
             p = concat([Tensor(sample.x[t]), xbar, Tensor(sample.y_hist[t].reshape(n, 1))], axis=1)
-            h, yhat = model.encoder_step(p, Tensor(sample.edge_feats[t]), h)
+            h = model.encoder_step(p, Tensor(sample.edge_feats[t]), h)
             history.append(h)
+        yhat = model.encoder_head(h)
         xbar = model.embed(*map(int, sample.spacetime[cfg.history_steps]), sample.coords)
         _, out = model.decoder_step(xbar, yhat, h, stack(history))
         assert np.array_equal(preds[0], out.data.ravel())
@@ -146,7 +157,7 @@ class TestForward:
     @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru", "wgc_gru", "gc_gru", "gru"])
     def test_matches_numpy_unrolling_oracle(self, variant):
         net = toy_network(n=3, seed=5)
-        model = build_variant(config(variant, net), net if variant != "gru" else None, seed=6)
+        model = Forecaster(config(variant, net), net if variant != "gru" else None, seed=6)
         sample = toy_sample(net, seed=7)
         preds = model.predict(sample)
         expected = ref_forward(model, sample)
@@ -154,7 +165,7 @@ class TestForward:
 
     def test_forecast_period_inputs_never_read(self):
         net = toy_network()
-        model = build_variant(config("agnn_gru", net), net, seed=8)
+        model = Forecaster(config("agnn_gru", net), net, seed=8)
         sample = toy_sample(net, seed=9)
         base = model.predict(sample)
         mutated = WindowSample(
@@ -167,7 +178,7 @@ class TestForward:
 
     def test_autoregressive_dependence_on_last_history_target(self):
         net = toy_network()
-        model = build_variant(config("agnn_gru", net), net, seed=10)
+        model = Forecaster(config("agnn_gru", net), net, seed=10)
         sample = toy_sample(net, seed=11)
         base = model.predict(sample)
         bumped = sample.y_hist.copy()
@@ -185,8 +196,8 @@ class TestForward:
                               forecast_steps=cfg_gru.forecast_steps,
                               node_dim=cfg_gru.node_dim, embed_dim=cfg_gru.embed_dim,
                               use_attention=False, graph_mode="none")
-        a = build_variant(cfg_gru, None, seed=12)
-        b = build_variant(reduced, None, seed=12)
+        a = Forecaster(cfg_gru, None, seed=12)
+        b = Forecaster(reduced, None, seed=12)
         assert set(a.params) == set(b.params)
         for name in a.params:
             assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
@@ -197,7 +208,7 @@ class TestForward:
         rng = np.random.default_rng(20)
         net = toy_network(n=4, seed=21)
         cfg = config("agnn_gru", net)
-        model = build_variant(cfg, net, seed=22)
+        model = Forecaster(cfg, net, seed=22)
         sample = toy_sample(net, seed=23)
         base = model.predict(sample)
 
@@ -205,7 +216,7 @@ class TestForward:
         inv = np.argsort(perm)
         stations = [net.stations[i] for i in inv]
         permuted_net = build_network(stations, threshold_km=6.0)
-        permuted_model = build_variant(cfg, permuted_net, seed=22)
+        permuted_model = Forecaster(cfg, permuted_net, seed=22)
         for name in model.params:
             permuted_model.params[name].data[...] = model.params[name].data
 
@@ -225,14 +236,14 @@ class TestForward:
 
     def test_missing_edge_attributes_rejected(self):
         net = toy_network()
-        model = build_variant(config("agnn_gru", net), net, seed=0)
+        model = Forecaster(config("agnn_gru", net), net, seed=0)
         sample = toy_sample(net, with_edges=False)
         with pytest.raises(ValueError, match="edge"):
             model.predict(sample)
 
     def test_window_shape_mismatch_rejected(self):
         net = toy_network()
-        model = build_variant(config("agnn_gru", net, h=4), net, seed=0)
+        model = Forecaster(config("agnn_gru", net, h=4), net, seed=0)
         sample = toy_sample(net, h=3)
         with pytest.raises(ValueError, match="H="):
             model.predict(sample)
@@ -243,7 +254,7 @@ class TestGradients:
         net = toy_network(n=3, seed=30)
         cfg = config("agnn_gru", net, h=2, f=2, node_dim=2, hidden=3)
         cfg.embed_dim = 2
-        model = build_variant(cfg, net, seed=31)
+        model = Forecaster(cfg, net, seed=31)
         sample = toy_sample(net, h=2, f=2, node_dim=2, seed=32)
         truth = sample.y_future
 
@@ -258,7 +269,7 @@ class TestGradients:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = toy_network()
-        model = build_variant(config("agnn_gru", net), net, seed=40)
+        model = Forecaster(config("agnn_gru", net), net, seed=40)
         path = tmp_path / "model.bin"
         model.save(path)
         loaded = Forecaster.load(path, network=net)
@@ -271,10 +282,31 @@ class TestCheckpoint:
     def test_config_survives(self, tmp_path):
         net = toy_network()
         cfg = config("wgc_gru", net, hidden=7)
-        model = build_variant(cfg, net, seed=42)
+        model = Forecaster(cfg, net, seed=42)
         model.save(tmp_path / "m.bin")
         loaded = Forecaster.load(tmp_path / "m.bin", network=net)
         assert loaded.config == cfg
+
+    @staticmethod
+    def write(path, version=CHECKPOINT_VERSION, drop=(), **extra):
+        """A gru checkpoint with the given version whose stored config lacks ``drop`` and adds ``extra``."""
+        model = Forecaster(config("gru", toy_network()), None, seed=0)
+        cfg = {k: v for k, v in model.config.to_dict().items() if k not in drop}
+        meta = {"kind": "hazecast-checkpoint", "checkpoint_version": version, "config": dict(cfg, **extra)}
+        save_arrays(path, {name: t.data for name, t in model.params.items()}, meta)
+        return path
+
+    def test_foreign_config_key_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="dropout"):
+            Forecaster.load(self.write(tmp_path / "m.bin", dropout=0.1))
+
+    def test_missing_config_key_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="node_dim"):
+            Forecaster.load(self.write(tmp_path / "m.bin", drop=("node_dim",)))
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="version 1"):
+            Forecaster.load(self.write(tmp_path / "m.bin", version=1, edge_dim=5, use_bias=True, gnn_out=5))
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         from hazecast.container import save_arrays
