@@ -63,8 +63,11 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not a hazecast array container")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        try:
+            (header_len,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (struct.error, ValueError):  # ValueError covers JSON and UTF-8 decoding
+            raise DataError(f"{path}: truncated or corrupt container header") from None
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported container version {header.get('format_version')}")
         payload = fh.read()

@@ -2,10 +2,11 @@
 
 A corpus is a directory of per-station CSV series plus a manifest declaring
 cadence, timezone, the station file and the temporal split dates.  The
-pipeline is: load -> impute gaps -> build the station graph and its per-step
-edge attributes from the raw wind components -> compute standardization
-statistics on the training rows only -> cache everything model-ready ->
-cut the cache into :class:`WindowSample` windows for the forecasters.
+pipeline is: load -> impute gaps -> fit standardization statistics of the
+node features and edge attributes on the training rows only -> cache the
+standardized panel, the raw wind and those statistics -> cut the cache into
+:class:`WindowSample` windows, deriving the station graph, the calendar and
+the edge attributes again from the cached inputs.
 
 Timestamps are naive local times; the manifest's timezone field documents
 their locality but no conversion is applied.
@@ -14,6 +15,7 @@ their locality but no conversion is applied.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -37,7 +39,7 @@ from .kvfile import read_keyvalue
 FEATURES = ("rh", "temp", "pm25", "pbl", "u10", "v10", "kindex", "sp", "tp")
 TARGET = "pm25"
 SERIES_HEADER = ("timestamp",) + FEATURES
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 MANIFEST_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -47,11 +49,10 @@ SPLIT_NAMES = ("train", "val", "test")
 
 @dataclass
 class RawPanel:
-    """Hourly (or coarser) per-station feature matrix with a missingness mask."""
+    """Hourly (or coarser) per-station feature matrix; NaN marks a missing cell."""
 
     timestamps: np.ndarray          # (T,) datetime64[m], strictly increasing, fixed cadence
-    values: np.ndarray              # (T, L, C) float, NaN where missing
-    mask: np.ndarray                # (T, L, C) bool, True = observed
+    values: np.ndarray              # (T, L, C) float, NaN where missing, finite elsewhere
     station_ids: list[str]
     features: tuple[str, ...]
     cadence_hours: float
@@ -66,7 +67,7 @@ class RawPanel:
 
     def validate(self) -> None:
         t, n, c = self.n_steps, self.n_stations, len(self.features)
-        if self.values.shape != (t, n, c) or self.mask.shape != (t, n, c):
+        if self.values.shape != (t, n, c):
             raise DataError("panel arrays inconsistent with timestamps/stations/features")
         if t >= 2:
             deltas = np.diff(self.timestamps.astype("datetime64[m]").astype(np.int64))
@@ -78,13 +79,11 @@ class RawPanel:
                 raise DataError(
                     f"panel cadence violated between {self.timestamps[k]} and "
                     f"{self.timestamps[k + 1]} (expected {self.cadence_hours} h)")
-        observed = self.mask
-        stored = np.isfinite(self.values)
-        if np.any(observed & ~stored):
-            raise DataError("panel marks non-finite cells as observed")
+        if np.any(np.isinf(self.values)):
+            raise DataError("panel holds infinite values")
 
     def missing_fraction(self) -> float:
-        return float(1.0 - self.mask.mean()) if self.mask.size else 0.0
+        return float(np.isnan(self.values).mean()) if self.values.size else 0.0
 
 
 # --------------------------------------------------------------------------- manifest
@@ -173,8 +172,9 @@ def _parse_timestamp(text: str, context: str) -> np.datetime64:
         raise DataError(f"{context}: unparseable timestamp {text!r}") from None
 
 
-def _load_series(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    timestamps, rows, observed = [], [], []
+def _load_series(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(timestamps, values) of one station; an empty cell becomes NaN."""
+    timestamps, rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -189,25 +189,24 @@ def _load_series(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if len(row) != len(SERIES_HEADER):
                 raise DataError(f"{path}:{lineno}: expected {len(SERIES_HEADER)} fields, got {len(row)}")
             timestamps.append(_parse_timestamp(row[0], f"{path}:{lineno}"))
-            vals, obs = [], []
+            vals = []
             for name, cell in zip(FEATURES, row[1:]):
                 cell = cell.strip()
                 if cell == "":
                     vals.append(np.nan)
-                    obs.append(False)
-                else:
-                    try:
-                        vals.append(float(cell))
-                    except ValueError:
-                        raise DataError(f"{path}:{lineno}: bad value {cell!r} for {name}") from None
-                    obs.append(True)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad value {cell!r} for {name}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{lineno}: non-finite value {cell!r} for {name} "
+                                    "(leave a missing cell empty)")
+                vals.append(value)
             rows.append(vals)
-            observed.append(obs)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return (np.array(timestamps, dtype="datetime64[m]"),
-            np.array(rows, dtype=float),
-            np.array(observed, dtype=bool))
+    return np.array(timestamps, dtype="datetime64[m]"), np.array(rows, dtype=float)
 
 
 def load_corpus(manifest: Manifest, stations: list[Station] | None = None) -> tuple[RawPanel, list[Station]]:
@@ -215,22 +214,20 @@ def load_corpus(manifest: Manifest, stations: list[Station] | None = None) -> tu
     if stations is None:
         stations = read_stations_csv(manifest.stations_path)
     ref_ts = None
-    values, masks = [], []
+    values = []
     for st in stations:
         path = manifest.series_dir / f"{st.id}.csv"
         if not path.exists():
             raise DataError(f"missing series file for station {st.id!r}: {path}")
-        ts, vals, obs = _load_series(path)
+        ts, vals = _load_series(path)
         if ref_ts is None:
             ref_ts = ts
         elif ts.shape != ref_ts.shape or np.any(ts != ref_ts):
             raise DataError(f"{path}: timestamps differ from station {stations[0].id!r}")
         values.append(vals)
-        masks.append(obs)
     panel = RawPanel(
         timestamps=ref_ts,
         values=np.stack(values, axis=1),
-        mask=np.stack(masks, axis=1),
         station_ids=[s.id for s in stations],
         features=FEATURES,
         cadence_hours=manifest.cadence_hours,
@@ -302,7 +299,7 @@ def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
     values = panel.values.copy()
     n_features = len(panel.features)
     for st in range(panel.n_stations):
-        mask = panel.mask[:, st, :]
+        mask = ~np.isnan(panel.values[:, st, :])
         if mask.all():
             continue
         z = values[:, st, :]
@@ -332,7 +329,6 @@ def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
     out = RawPanel(
         timestamps=panel.timestamps,
         values=values,
-        mask=np.ones_like(panel.mask),
         station_ids=panel.station_ids,
         features=panel.features,
         cadence_hours=panel.cadence_hours,
@@ -352,7 +348,6 @@ class StandardizationStats:
     mean: np.ndarray
     std: np.ndarray
     dropped: tuple[str, ...]
-    target: str = TARGET
 
     def index_of(self, feature: str) -> int:
         try:
@@ -444,18 +439,15 @@ class WindowSample:
 
 @dataclass
 class PreparedData:
-    """Model-ready corpus: standardized panels, graph, splits and statistics."""
+    """Model-ready corpus: standardized panels, raw wind, splits and statistics."""
 
     timestamps: np.ndarray            # (T,) datetime64[m]
     station_ids: list[str]
     coords: np.ndarray                # (L, 2)
     x: np.ndarray                     # (T, L, Cx) standardized non-target features
     y: np.ndarray                     # (T, L) standardized target
-    spacetime: np.ndarray             # (T, 3) int64
-    edge_index: np.ndarray            # (E, 2) int64
-    edge_distance: np.ndarray         # (E,)
-    edge_bearing: np.ndarray          # (E,)
-    edge_feats: np.ndarray            # (T, E, 5) standardized
+    spacetime: np.ndarray             # (T, 3) int64, spacetime_features(timestamps)
+    wind: np.ndarray                  # (T, L, 2) imputed u10, v10 in m/s
     edge_mean: np.ndarray             # (5,)
     edge_std: np.ndarray              # (5,)
     stats: StandardizationStats
@@ -471,21 +463,22 @@ class PreparedData:
     def network(self) -> StationNetwork:
         stations = [Station(sid, float(lat), float(lon))
                     for sid, (lat, lon) in zip(self.station_ids, self.coords)]
-        return StationNetwork(
-            stations=stations,
-            edges=self.edge_index,
-            distance_km=self.edge_distance,
-            bearing_deg=self.edge_bearing,
-        )
+        return build_network(stations, self.threshold_km)
 
     def windows(self, split: str, history_steps: int, forecast_steps: int,
                 stride: int = 1) -> list[WindowSample]:
-        """Sliding windows inside one split; never crosses a split boundary."""
+        """Sliding windows inside one split; never crosses a split boundary.
+
+        Each window's ``edge_feats`` is a view of the split's attributes.
+        """
         if split not in self.splits:
             raise UsageError(f"unknown split {split!r}")
         if history_steps < 1 or forecast_steps < 1 or stride < 1:
             raise UsageError("history, forecast and stride must be positive")
         lo, hi = self.splits[split]
+        edge_feats = edge_attributes_at(self.network(), self.wind[lo:hi])
+        edge_feats -= self.edge_mean
+        edge_feats /= self.edge_std
         total = history_steps + forecast_steps
         out = []
         for start in range(lo, hi - total + 1, stride):
@@ -497,13 +490,13 @@ class PreparedData:
                 y_future=self.y[mid:end],
                 spacetime=self.spacetime[start:end],
                 coords=self.coords,
-                edge_feats=self.edge_feats[start:mid],
+                edge_feats=edge_feats[start - lo:mid - lo],
                 timestamps_future=self.timestamps[mid:end],
             ))
         return out
 
     def destandardize_target(self, values: np.ndarray) -> np.ndarray:
-        return self.stats.destandardize(values, self.stats.target)
+        return self.stats.destandardize(values, TARGET)
 
     # -- persistence --------------------------------------------------------
 
@@ -513,11 +506,7 @@ class PreparedData:
             "coords": self.coords,
             "x": self.x,
             "y": self.y,
-            "spacetime": self.spacetime,
-            "edge_index": self.edge_index,
-            "edge_distance": self.edge_distance,
-            "edge_bearing": self.edge_bearing,
-            "edge_feats": self.edge_feats,
+            "wind": self.wind,
             "edge_mean": self.edge_mean,
             "edge_std": self.edge_std,
             "node_mean": self.stats.mean,
@@ -530,7 +519,6 @@ class PreparedData:
             "station_ids": self.station_ids,
             "features_kept": list(self.stats.features),
             "features_dropped": list(self.stats.dropped),
-            "target": self.stats.target,
             "cadence_hours": self.cadence_hours,
             "timezone": self.timezone,
             "threshold_km": self.threshold_km,
@@ -549,21 +537,18 @@ class PreparedData:
             mean=arrays["node_mean"],
             std=arrays["node_std"],
             dropped=tuple(meta["features_dropped"]),
-            target=meta["target"],
         )
         splits = {name: (int(lo), int(hi))
                   for name, (lo, hi) in zip(SPLIT_NAMES, arrays["split_bounds"])}
+        timestamps = arrays["timestamps"].astype("datetime64[m]")
         return cls(
-            timestamps=arrays["timestamps"].astype("datetime64[m]"),
+            timestamps=timestamps,
             station_ids=list(meta["station_ids"]),
             coords=arrays["coords"],
             x=arrays["x"],
             y=arrays["y"],
-            spacetime=arrays["spacetime"],
-            edge_index=arrays["edge_index"],
-            edge_distance=arrays["edge_distance"],
-            edge_bearing=arrays["edge_bearing"],
-            edge_feats=arrays["edge_feats"],
+            spacetime=spacetime_features(timestamps),
+            wind=arrays["wind"],
             edge_mean=arrays["edge_mean"],
             edge_std=arrays["edge_std"],
             stats=stats,
@@ -583,7 +568,7 @@ def prepare_corpus(manifest: Manifest, threshold_km: float,
         "rows": panel.n_steps,
         "missing_pct": 100.0 * panel.missing_fraction(),
         "missing_pct_by_feature": {
-            name: 100.0 * float(1.0 - panel.mask[:, :, k].mean())
+            name: 100.0 * float(np.isnan(panel.values[:, :, k]).mean())
             for k, name in enumerate(panel.features)
         },
     }
@@ -597,21 +582,15 @@ def prepare_corpus(manifest: Manifest, threshold_km: float,
     network = build_network(stations, threshold_km)
     report["edges"] = network.n_edges
 
-    u_idx = complete.features.index("u10")
-    v_idx = complete.features.index("v10")
-    frames = np.zeros((complete.n_steps, network.n_edges, len(EDGE_FEATURES)))
-    for t in range(complete.n_steps):
-        wind = np.column_stack([complete.values[t, :, u_idx], complete.values[t, :, v_idx]])
-        frames[t] = edge_attributes_at(network, wind)
-
     stats = compute_stats(complete, splits["train"])
     kept_idx = [complete.features.index(f) for f in stats.features]
     std_values = stats.standardize(complete.values[:, :, kept_idx])
-    target_pos = stats.index_of(stats.target)
+    target_pos = stats.index_of(TARGET)
     x_pos = [k for k in range(len(stats.features)) if k != target_pos]
 
+    wind = complete.values[:, :, [complete.features.index("u10"), complete.features.index("v10")]]
     lo, hi = splits["train"]
-    edge_train = frames[lo:hi].reshape(-1, len(EDGE_FEATURES))
+    edge_train = edge_attributes_at(network, wind[lo:hi]).reshape(-1, len(EDGE_FEATURES))
     if edge_train.shape[0]:
         edge_mean = edge_train.mean(axis=0)
         edge_std = edge_train.std(axis=0)
@@ -627,10 +606,7 @@ def prepare_corpus(manifest: Manifest, threshold_km: float,
         x=std_values[:, :, x_pos],
         y=std_values[:, :, target_pos],
         spacetime=spacetime_features(complete.timestamps),
-        edge_index=network.edges,
-        edge_distance=network.distance_km,
-        edge_bearing=network.bearing_deg,
-        edge_feats=(frames - edge_mean) / edge_std,
+        wind=wind,
         edge_mean=edge_mean,
         edge_std=edge_std,
         stats=stats,

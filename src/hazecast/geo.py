@@ -189,23 +189,26 @@ def wind_speed_direction(u10, v10):
 
 
 def edge_attributes_at(network: StationNetwork, wind: np.ndarray) -> np.ndarray:
-    """Edge attributes for one timestep from a per-station wind field, as (E, 5).
+    """Edge attributes from per-station wind fields, as (..., E, 5).
 
-    ``wind`` is an (L, 2) array of (u10, v10) in m/s.  The columns follow
+    ``wind`` is an (..., L, 2) array of (u10, v10) in m/s: one (L, 2) field
+    for one timestep, or a (T, L, 2) panel for T of them.  The columns follow
     :data:`EDGE_FEATURES`: distance (km), bearing (deg), source wind speed
     (m/s), source wind direction (deg, toward-convention) and the advection
-    coefficient (m/s, never negative).  Wind speed, direction and the
-    advection coefficient are taken at the source station of each edge.
+    coefficient (m/s, never negative).  Distance and bearing are static and
+    repeat at every timestep; speed and direction are computed once per
+    station and taken at the source station of each edge.
     """
     wind = np.asarray(wind, dtype=float)
-    if wind.shape != (network.n_stations, 2):
-        raise ValueError(f"wind field must have shape ({network.n_stations}, 2), got {wind.shape}")
-    if not network.n_edges:
-        return np.zeros((0, len(EDGE_FEATURES)))
+    if wind.shape[-2:] != (network.n_stations, 2):
+        raise ValueError(f"wind field must have shape (..., {network.n_stations}, 2), got {wind.shape}")
+    speed, direction = wind_speed_direction(wind[..., 0], wind[..., 1])
     src = network.edges[:, 0]
-    speed, direction = wind_speed_direction(wind[src, 0], wind[src, 1])
+    speed, direction = speed[..., src], direction[..., src]
     adv = advection_coefficient(speed, direction, network.bearing_deg)
-    return np.column_stack([network.distance_km, network.bearing_deg, speed, direction, adv])
+    return np.stack([np.broadcast_to(network.distance_km, speed.shape),
+                     np.broadcast_to(network.bearing_deg, speed.shape),
+                     speed, direction, adv], axis=-1)
 
 
 def inverse_distance_weights(network: StationNetwork) -> np.ndarray:

@@ -45,9 +45,17 @@ def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "store.bin"
     save_arrays(path, {"a": np.ones(100)}, {})
     blob = path.read_bytes()
-    path.write_bytes(blob[:-40])
-    with pytest.raises(DataError, match="truncated"):
-        load_arrays(path)
+    corrupted = {
+        "inside the array bytes": blob[:-40],
+        "inside the header length": blob[:18],
+        "inside the JSON header": blob[:26],
+        "header length too long": blob[:16] + bytes([blob[16] ^ 0x80]) + blob[17:],
+    }
+    for where, data in corrupted.items():
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="truncated") as caught:
+            load_arrays(path)
+        assert str(path) in str(caught.value), where
 
 
 def test_unsupported_dtype_rejected(tmp_path):

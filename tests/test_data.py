@@ -2,13 +2,32 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hazecast
-from hazecast.data import RawPanel, WindowSample, impute_chained, spacetime_features
+from hazecast.container import load_arrays, save_arrays
+from hazecast.data import (
+    FEATURES,
+    SERIES_HEADER,
+    SPLIT_NAMES,
+    PreparedData,
+    RawPanel,
+    SplitSpec,
+    WindowSample,
+    compute_stats,
+    impute_chained,
+    load_corpus,
+    parse_manifest,
+    prepare_corpus,
+    spacetime_features,
+    split_temporal,
+)
+from hazecast.errors import DataError
+from hazecast.geo import edge_attributes_at
 
 
 # ---------------------------------------------------------------- import direction
@@ -121,7 +140,6 @@ def gappy_panel():
     return RawPanel(
         timestamps=np.datetime64("2020-01-01T00:00") + np.arange(40) * np.timedelta64(60, "m"),
         values=np.where(mask, values, np.nan),
-        mask=mask,
         station_ids=["a", "b"],
         features=("f0", "f1", "f2"),
         cadence_hours=1.0,
@@ -140,3 +158,267 @@ def test_imputation_runs_blas_on_one_thread(blas_threads, monkeypatch):
     impute_chained(gappy_panel(), iterations=2)
     assert seen and set(seen) == {1}
     assert blas_threads() == 2
+
+
+# ---------------------------------------------------------------- corpus on disk
+
+
+MANIFEST = {
+    "manifest_version": "1",
+    "cadence_hours": "1",
+    "timezone": "Asia/Shanghai",
+    "stations": "stations.csv",
+    "series_dir": "series",
+    "train": "2020-01-01:2020-01-03",
+    "val": "2020-01-04:2020-01-04",
+    "test": "2020-01-05:2020-01-05",
+}
+STATIONS = [("a", 30.00, 115.00), ("b", 30.10, 115.05), ("c", 29.95, 115.10)]
+
+
+def write_manifest(root, **changes):
+    pairs = {k: v for k, v in {**MANIFEST, **changes}.items() if v is not None}
+    path = root / "manifest.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+    return path
+
+
+def series_lines(rng, steps=120):
+    """CSV lines of one station: 5 days hourly, about 5 % empty cells."""
+    stamps = np.datetime64("2020-01-01T00:00") + np.arange(steps) * np.timedelta64(60, "m")
+    values = rng.normal(size=(steps, len(FEATURES))) + np.arange(len(FEATURES))
+    absent = rng.random(values.shape) < 0.05
+    absent[:2] = False
+    lines = [",".join(SERIES_HEADER)]
+    for ts, row, gap in zip(stamps, values, absent):
+        cells = ["" if g else f"{v:.4f}" for v, g in zip(row, gap)]
+        lines.append(str(ts).replace("T", " ") + "," + ",".join(cells))
+    return lines
+
+
+def write_corpus(root, **manifest_changes):
+    """A 3-station, 5-day hourly corpus under ``root``; returns the manifest path."""
+    rng = np.random.default_rng(11)
+    (root / "series").mkdir()
+    (root / "stations.csv").write_text(
+        "id,latitude,longitude\n" + "".join(f"{i},{la},{lo}\n" for i, la, lo in STATIONS))
+    for sid, _, _ in STATIONS:
+        (root / "series" / f"{sid}.csv").write_text("\n".join(series_lines(rng)) + "\n")
+    return write_manifest(root, **manifest_changes)
+
+
+def edit_series(root, sid, edit):
+    path = root / "series" / f"{sid}.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return path
+
+
+def set_cell(lineno, column, text):
+    """Edit for :func:`edit_series` putting ``text`` in one cell of 1-based line ``lineno``."""
+    def edit(lines):
+        cells = lines[lineno - 1].split(",")
+        cells[column] = text
+        lines[lineno - 1] = ",".join(cells)
+        return lines
+    return edit
+
+
+# ---------------------------------------------------------------- manifest
+
+
+def test_manifest_parses(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    assert manifest.cadence_hours == 1.0
+    assert manifest.series_dir == tmp_path / "series"
+    assert manifest.splits.val == (date(2020, 1, 4), date(2020, 1, 4))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(timezone=None), r"missing keys \['timezone'\]"),
+    (dict(manifest_version="2"), "unsupported manifest_version '2'"),
+    (dict(cadence_hours="0"), "cadence_hours must be positive"),
+    (dict(cadence_hours="-1"), "cadence_hours must be positive"),
+    (dict(cadence_hours="hourly"), "cadence_hours must be numeric"),
+])
+def test_manifest_errors(tmp_path, changes, message):
+    with pytest.raises(DataError, match=message):
+        parse_manifest(write_manifest(tmp_path, **changes))
+
+
+# ---------------------------------------------------------------- loading
+
+
+def test_load_corpus_reads_gaps_as_nan(tmp_path):
+    panel, stations = load_corpus(parse_manifest(write_corpus(tmp_path)))
+    assert [s.id for s in stations] == panel.station_ids == ["a", "b", "c"]
+    assert panel.values.shape == (120, 3, len(FEATURES))
+    assert 0.0 < panel.missing_fraction() < 0.1
+    assert not np.any(np.isinf(panel.values))
+    lines = (tmp_path / "series" / "b.csv").read_text().splitlines()
+    cells = lines[5].split(",")[1:]     # data row 4
+    assert [c == "" for c in cells] == np.isnan(panel.values[4, 1]).tolist()
+
+
+def test_load_corpus_missing_file(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    (tmp_path / "series" / "b.csv").unlink()
+    with pytest.raises(DataError, match="missing series file for station 'b'"):
+        load_corpus(manifest)
+
+
+def test_load_corpus_ragged_row(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    path = edit_series(tmp_path, "c", lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:])
+    with pytest.raises(DataError, match=f"{path}:8: expected 10 fields, got 9"):
+        load_corpus(manifest)
+
+
+def test_load_corpus_misaligned_timestamps(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    path = edit_series(tmp_path, "b", set_cell(4, 0, "2020-01-01 02:30"))
+    with pytest.raises(DataError, match=f"{path}: timestamps differ from station 'a'"):
+        load_corpus(manifest)
+
+
+def test_load_corpus_cadence_gap(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    for sid, _, _ in STATIONS:
+        edit_series(tmp_path, sid, lambda lines: lines[:10] + lines[11:])   # drops 09:00
+    with pytest.raises(DataError, match="cadence violated between 2020-01-01T08:00 and "
+                                        "2020-01-01T10:00"):
+        load_corpus(manifest)
+
+
+@pytest.mark.parametrize("literal", ["nan", "NaN", "inf", "-Infinity"])
+def test_load_corpus_rejects_non_finite_literal(tmp_path, literal):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    path = edit_series(tmp_path, "c", set_cell(6, 1 + FEATURES.index("temp"), literal))
+    with pytest.raises(DataError, match=f"{path}:6: non-finite value '{literal}' for temp"):
+        load_corpus(manifest)
+
+
+def test_load_corpus_rejects_unparseable_value(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    path = edit_series(tmp_path, "a", set_cell(3, 1, "n/a"))
+    with pytest.raises(DataError, match=f"{path}:3: bad value 'n/a' for rh"):
+        load_corpus(manifest)
+
+
+# ---------------------------------------------------------------- splits and statistics
+
+
+def hourly(days):
+    return np.datetime64("2020-01-01T00:00") + np.arange(24 * days) * np.timedelta64(60, "m")
+
+
+def split_spec(**changes):
+    ranges = {**{k: MANIFEST[k] for k in SPLIT_NAMES}, **changes}
+    return SplitSpec(**{k: tuple(map(date.fromisoformat, v.split(":"))) for k, v in ranges.items()})
+
+
+def test_split_temporal_row_ranges():
+    assert split_temporal(hourly(5), split_spec()) == {"train": (0, 72), "val": (72, 96),
+                                                      "test": (96, 120)}
+
+
+def test_split_temporal_rejects_uncovered_row():
+    spec = split_spec(train="2020-01-01:2020-01-02")   # 2020-01-03 is in no split
+    with pytest.raises(DataError, match="timestamp 2020-01-03T00:00 falls outside every split range"):
+        split_temporal(hourly(5), spec)
+
+
+def stats_panel(values):
+    return RawPanel(timestamps=hourly(1)[:values.shape[0]], values=values, station_ids=["a", "b"],
+                    features=("rh", "pm25", "tp"), cadence_hours=1.0)
+
+
+def test_compute_stats_fits_training_rows_only():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(12, 2, 3))
+    values[8:] = 1e6    # rows outside the training range
+    stats = compute_stats(stats_panel(values), (0, 8))
+    train = values[:8].reshape(-1, 3)
+    assert stats.features == ("rh", "pm25", "tp") and stats.dropped == ()
+    assert stats.mean.tobytes() == train.mean(axis=0).tobytes()
+    assert stats.std.tobytes() == train.std(axis=0).tobytes()
+
+
+def test_compute_stats_drops_feature_constant_on_training_rows():
+    values = np.random.default_rng(4).normal(size=(12, 2, 3))
+    values[:8, :, 2] = 0.0    # tp varies only outside the training rows
+    with pytest.warns(UserWarning, match="dropping constant feature 'tp'"):
+        stats = compute_stats(stats_panel(values), (0, 8))
+    assert stats.features == ("rh", "pm25") and stats.dropped == ("tp",)
+    assert stats.mean.shape == stats.std.shape == (2,)
+
+
+def test_compute_stats_rejects_constant_target():
+    values = np.random.default_rng(4).normal(size=(12, 2, 3))
+    values[:8, :, 1] = 35.0
+    with pytest.raises(DataError, match="target pm25 is constant"):
+        compute_stats(stats_panel(values), (0, 8))
+
+
+# ---------------------------------------------------------------- prepared data
+
+
+@pytest.fixture
+def prepared(tmp_path):
+    prepared, report = prepare_corpus(parse_manifest(write_corpus(tmp_path)), threshold_km=20.0)
+    assert report["edges"] == prepared.network().n_edges > 0
+    return prepared
+
+
+@pytest.mark.parametrize("split", SPLIT_NAMES)
+def test_windows_stay_inside_their_split(prepared, split):
+    lo, hi = prepared.splits[split]
+    h, f = 5, 3
+    windows = prepared.windows(split, h, f)
+    assert len(windows) == (hi - lo) - (h + f) + 1
+    edge_feats = (edge_attributes_at(prepared.network(), prepared.wind[lo:hi])
+                  - prepared.edge_mean) / prepared.edge_std
+    for k, w in enumerate(windows):
+        start = lo + k
+        assert w.y_hist.tobytes() == prepared.y[start:start + h].tobytes()
+        assert w.y_future.tobytes() == prepared.y[start + h:start + h + f].tobytes()
+        assert w.edge_feats.tobytes() == edge_feats[k:k + h].tobytes()
+        assert prepared.timestamps[lo] < w.timestamps_future[0]
+        assert w.timestamps_future[-1] <= prepared.timestamps[hi - 1]
+        w.validate()
+    assert windows[0].edge_feats.base is windows[-1].edge_feats.base    # views of one array
+
+
+def assert_bitwise_equal(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif hasattr(a, "__dataclass_fields__"):
+        for name in a.__dataclass_fields__:
+            assert_bitwise_equal(getattr(a, name), getattr(b, name))
+    else:
+        assert a == b
+
+
+def test_cache_round_trip_bit_exact(prepared, tmp_path):
+    path = tmp_path / "cache.bin"
+    prepared.save(path)
+    arrays, meta = load_arrays(path)
+    assert sorted(arrays) == ["coords", "edge_mean", "edge_std", "node_mean", "node_std",
+                              "split_bounds", "timestamps", "wind", "x", "y"]
+    loaded = PreparedData.load(path)
+    assert_bitwise_equal(prepared, loaded)
+    for split in SPLIT_NAMES:
+        for a, b in zip(prepared.windows(split, 4, 2), loaded.windows(split, 4, 2)):
+            assert_bitwise_equal(a, b)
+    loaded.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_cache_of_another_version_refused(prepared, tmp_path):
+    path = tmp_path / "cache.bin"
+    prepared.save(path)
+    arrays, meta = load_arrays(path)
+    save_arrays(path, arrays, {**meta, "cache_version": 1})
+    with pytest.raises(DataError, match="unsupported cache version 1"):
+        PreparedData.load(path)

@@ -257,6 +257,23 @@ class TestEdgeAttributes:
         with pytest.raises(ValueError):
             edge_attributes_at(net, np.zeros((4, 2)))
 
+    def test_panel_bitwise_equal_to_per_step_calls(self):
+        rng = np.random.default_rng(8)
+        net = build_network(random_stations(6, rng), threshold_km=10.0)
+        wind = rng.normal(0, 4, size=(7, 6, 2))
+        wind[2, 1] = (-1e-300, 1.0)    # direction wraps to 0.0
+        wind[3] = 0.0                  # calm
+        frames = edge_attributes_at(net, wind)
+        per_step = np.stack([edge_attributes_at(net, wind[t]) for t in range(7)])
+        assert frames.shape == (7, net.n_edges, len(EDGE_FEATURES))
+        assert frames.tobytes() == per_step.tobytes()
+
+    def test_panel_on_network_without_edges(self):
+        net = build_network([S("a", 0.0, 0.0), S("b", 1.0, 0.0)], threshold_km=5.0)
+        assert net.n_edges == 0
+        assert edge_attributes_at(net, np.ones((4, 2, 2))).shape == (4, 0, len(EDGE_FEATURES))
+        assert edge_attributes_at(net, np.ones((2, 2))).shape == (0, len(EDGE_FEATURES))
+
     def test_wind_speed_direction_convention(self):
         speed, direction = wind_speed_direction(1.0, 0.0)
         assert speed == pytest.approx(1.0)

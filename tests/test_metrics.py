@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hazecast.metrics import (
     METRIC_NAMES,
+    _average_ranks,
     aggregate,
     mae,
     mse_loss,
@@ -51,6 +52,18 @@ class TestErrorMagnitudes:
 
 
 class TestSpearman:
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(6).integers(0, 4, size=500).astype(float),
+        np.repeat([2.5, -1.0, 7.0, 2.5], [1, 40, 3, 9]),
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+        np.full(17, 3.0),
+        np.array([4.0]),
+    ], ids=["few-values", "long-runs", "signed-zeros", "constant", "single"])
+    def test_average_ranks_bitwise_equal_scipy(self, x):
+        got = _average_ranks(x)
+        want = scipy.stats.rankdata(x, method="average")
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_identical_series(self):
         x = np.array([3.0, 1.0, 4.0, 1.5, 9.0])
         assert spearman(x, x) == pytest.approx(1.0)
