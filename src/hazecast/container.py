@@ -10,6 +10,8 @@ bit-exact, which the checkpoint and reproducibility guarantees rely on.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -70,13 +72,17 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
             raise DataError(f"{path}: truncated or corrupt container header") from None
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported container version {header.get('format_version')}")
-        payload = fh.read()
-    arrays = {}
-    for entry in header["arrays"]:
-        start, n = entry["offset"], entry["nbytes"]
-        raw = payload[start:start + n]
-        if len(raw) != n:
-            raise DataError(f"{path}: truncated container (array {entry['name']!r})")
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
-        arrays[entry["name"]] = np.array(arr, copy=True)
+        # Each array is read in place: no payload buffer or extra copy.
+        start, end = fh.tell(), os.fstat(fh.fileno()).st_size
+        arrays = {}
+        for entry in header["arrays"]:
+            if entry["dtype"] not in _ALLOWED_DTYPES:
+                raise DataError(f"{path}: unsupported dtype {entry['dtype']!r} (array {entry['name']!r})")
+            dtype, nbytes = np.dtype(entry["dtype"]), entry["nbytes"]
+            if math.prod(entry["shape"]) * dtype.itemsize != nbytes or start + entry["offset"] + nbytes > end:
+                raise DataError(f"{path}: truncated container (array {entry['name']!r})")
+            arr = np.empty(entry["shape"], dtype=dtype)
+            fh.seek(start + entry["offset"])
+            fh.readinto(arr.reshape(-1).view(np.uint8))
+            arrays[entry["name"]] = arr
     return arrays, header["meta"]

@@ -15,9 +15,11 @@ their locality but no conversion is applied.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -165,45 +167,60 @@ def parse_manifest(path) -> Manifest:
 # --------------------------------------------------------------------------- loading
 
 
-def _parse_timestamp(text: str, context: str) -> np.datetime64:
-    try:
-        return np.datetime64(text.strip(), "m")
-    except ValueError:
-        raise DataError(f"{context}: unparseable timestamp {text!r}") from None
-
-
 def _load_series(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(timestamps, values) of one station; an empty cell becomes NaN."""
-    timestamps, rows = [], []
+    """(timestamps, values) of one station, reading the file once; an empty cell becomes NaN.
+
+    A plain file (the header, then rows of digits, signs, points, exponents,
+    colons, ``T``, spaces and commas) goes to ``np.loadtxt``, its empty cells
+    set to ``nan``.  Any other file, or one loadtxt or the checks after it
+    reject, goes to the row parser, which reports faults with ``file:line``.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    lines = [line for line in re.sub(r", *(?=[,\r\n]|\Z)", ",nan", body).splitlines() if line.strip(" ")]
+    stamps, rest = zip(*(line.partition(",")[::2] for line in lines)) if lines else ((), ())
+    if ([h.strip(" ") for h in header.removesuffix("\r").split(",")] == list(SERIES_HEADER)
+            and re.fullmatch(r"[0-9eE+\-.,:T \r\n]*", body) and lines and all(rest)):
+        try:   # all(rest): loadtxt would skip a row without a comma
+            values = np.loadtxt(rest, delimiter=",", ndmin=2)
+            timestamps = np.array([s.strip(" ") for s in stamps], dtype="datetime64[m]")
+            if values.shape == (len(lines), len(FEATURES)) and not np.isinf(values).any():
+                return timestamps, values
+        except ValueError:
+            pass
+    return _parse_rows(path, text)
+
+
+def _parse_rows(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row parse of a series file's ``text``; raises ``DataError`` at the first fault."""
+    timestamps, rows = [], []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty series file") from None
+    if tuple(h.strip() for h in header) != SERIES_HEADER:
+        raise DataError(f"{path}:1: expected header {','.join(SERIES_HEADER)!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(SERIES_HEADER):
+            raise DataError(f"{path}:{lineno}: expected {len(SERIES_HEADER)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty series file") from None
-        if tuple(h.strip() for h in header) != SERIES_HEADER:
-            raise DataError(f"{path}:1: expected header {','.join(SERIES_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(SERIES_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(SERIES_HEADER)} fields, got {len(row)}")
-            timestamps.append(_parse_timestamp(row[0], f"{path}:{lineno}"))
-            vals = []
-            for name, cell in zip(FEATURES, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(np.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad value {cell!r} for {name}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{lineno}: non-finite value {cell!r} for {name} "
-                                    "(leave a missing cell empty)")
-                vals.append(value)
-            rows.append(vals)
+            timestamps.append(np.datetime64(row[0].strip(), "m"))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unparseable timestamp {row[0]!r}") from None
+        cells = [cell.strip() for cell in row[1:]]
+        for name, cell in zip(FEATURES, cells):
+            try:
+                finite = not cell or math.isfinite(float(cell))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad value {cell!r} for {name}") from None
+            if not finite:
+                raise DataError(f"{path}:{lineno}: non-finite value {cell!r} for {name} "
+                                "(leave a missing cell empty)")
+        rows.append([float(cell) if cell else np.nan for cell in cells])
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(timestamps, dtype="datetime64[m]"), np.array(rows, dtype=float)
@@ -285,56 +302,88 @@ def split_temporal(timestamps: np.ndarray, spec: SplitSpec) -> dict[str, tuple[i
 
 @single_threaded_blas()
 def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
-    """Fill gaps by iterated per-feature linear regression on the other features.
+    """Fill gaps by chained-equations regression (MICE; van Buuren and Groothuis-Oudshoorn 2011).
 
-    Missing cells start at their feature's observed mean; each sweep then
-    refits every feature (in column order) against the current values of the
-    others by least squares and re-predicts only the missing cells.  The
-    procedure is deterministic and leaves observed cells untouched, so a
-    complete panel comes back unchanged.  The fits run numpy's BLAS on one
-    thread, for the reason :func:`~hazecast.autodiff.single_threaded_blas` gives.
+    Missing cells start at their feature's observed mean; each sweep refits
+    every feature, in column order, on the current values of the others by
+    least squares and re-predicts its missing cells (a feature with constant
+    observed values gets that constant).  Observed cells and stations without
+    gaps are untouched.  All stations are fitted at once: each keeps the Gram
+    matrix of ``[1, features]``, features centred and scaled by their observed
+    mean and std; feature c's normal equations are that Gram less the rows
+    missing in c, and re-predicting c changes only its row and column.  Fills
+    agree with a per-station ``lstsq`` loop to 1e-8 of each feature's std
+    (about 1e-11 on the benchmark corpora); as normal equations, the error
+    grows with the square of a design's condition number.  BLAS runs on one thread.
     """
     if iterations < 1:
         raise UsageError("imputation needs at least one iteration")
     values = panel.values.copy()
-    n_features = len(panel.features)
-    for st in range(panel.n_stations):
-        mask = ~np.isnan(panel.values[:, st, :])
-        if mask.all():
-            continue
-        z = values[:, st, :]
-        for c in range(n_features):
-            n_obs = int(mask[:, c].sum())
-            if n_obs < 2:
-                raise DataError(
-                    f"station {panel.station_ids[st]!r}, feature {panel.features[c]!r}: "
-                    f"only {n_obs} observed values; cannot impute")
-        for c in range(n_features):
-            miss = ~mask[:, c]
-            if miss.any():
-                z[miss, c] = z[mask[:, c], c].mean()
-        others = {c: [k for k in range(n_features) if k != c] for c in range(n_features)}
-        for _ in range(iterations):
-            for c in range(n_features):
-                miss = ~mask[:, c]
-                if not miss.any():
-                    continue
-                target_obs = z[mask[:, c], c]
-                if np.all(target_obs == target_obs[0]):
-                    z[miss, c] = target_obs[0]  # regression degenerates to the intercept
-                    continue
-                design = np.column_stack([np.ones(panel.n_steps), z[:, others[c]]])
-                coef, *_ = np.linalg.lstsq(design[mask[:, c]], target_obs, rcond=None)
-                z[miss, c] = design[miss] @ coef
-    out = RawPanel(
-        timestamps=panel.timestamps,
-        values=values,
-        station_ids=panel.station_ids,
-        features=panel.features,
-        cadence_hours=panel.cadence_hours,
-    )
+    gappy = np.flatnonzero(np.isnan(values).any(axis=(0, 2)))
+    n_st, n_steps, n_feat = len(gappy), values.shape[0], values.shape[2]
+    design = np.zeros((n_st, n_steps + 1, n_feat + 1))   # the last row stays zero and pads gathers
+    design[:, :n_steps, 0] = 1.0
+    z = design[:, :n_steps, 1:]
+    z[...] = values[:, gappy].transpose(1, 0, 2)
+    observed = ~np.isnan(z)
+    n_obs = observed.sum(axis=1)
+    if np.any(n_obs < 2):
+        st, c = np.argwhere(n_obs < 2)[0]
+        raise DataError(f"station {panel.station_ids[gappy[st]]!r}, feature {panel.features[c]!r}: "
+                        f"only {n_obs[st, c]} observed values; cannot impute")
+    centre = z.mean(axis=1, where=observed)
+    low = z.min(axis=1, where=observed, initial=np.inf)
+    constant = low == z.max(axis=1, where=observed, initial=-np.inf)
+    z -= centre[:, None]
+    z[~observed] = 0.0
+    scale = np.where(constant, 1.0, np.sqrt(np.einsum("stc,stc->sc", z, z) / n_obs))
+    z /= scale[:, None]
+    # Per feature, each station's missing rows in order, padded with the zero row.
+    missing_rows = [np.sort(np.where(observed[:, :, c], n_steps, np.arange(n_steps)), axis=1)
+                    [:, :n_steps - n_obs[:, c].min(initial=n_steps)].copy() for c in range(n_feat)]
+    gram = design.transpose(0, 2, 1) @ design
+    for _ in range(iterations):
+        for c, pad in enumerate(missing_rows):
+            rows = design[np.arange(n_st)[:, None], pad]
+            coef = _least_norm_coef(gram - rows.transpose(0, 2, 1) @ rows, c, centre, scale)
+            pred = np.where(constant[:, c, None], low[:, c, None], (rows @ coef[:, :, None])[..., 0])
+            change = np.where(pad < n_steps, (pred - centre[:, c, None]) / scale[:, c, None]
+                              - rows[..., c + 1], 0.0)
+            cross = (rows.transpose(0, 2, 1) @ change[:, :, None])[..., 0]
+            gram[:, c + 1] += cross
+            gram[:, :, c + 1] += cross
+            gram[:, c + 1, c + 1] += (change * change).sum(axis=1)
+            st, at = np.nonzero(pad < n_steps)
+            design[st, pad[st, at], c + 1] += change[st, at]
+            values[pad[st, at], gappy[st], c] = pred[st, at]
+    out = replace(panel, values=values)
     out.validate()
     return out
+
+
+def _least_norm_coef(gram: np.ndarray, c: int, centre: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """(S, C+1) coefficients on the scaled design predicting feature ``c`` in its units.
+
+    ``gram`` spans the rows where ``c`` is observed.  Eigenvalues up to
+    ``n_rows * eps`` of the largest count as zero; the solution is then the
+    one of least norm in original units, as ``np.linalg.lstsq`` returns it.
+    """
+    others = np.arange(gram.shape[1]) != c + 1
+    lam, vec = np.linalg.eigh(gram[:, others][:, :, others])
+    null = lam <= lam[:, -1:] * gram[:, :1, 0] * np.finfo(float).eps
+    inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=~null)
+    coef = np.einsum("sij,sj->si", vec, inverse * np.einsum("sji,sj->si", vec, gram[:, others, c + 1]))
+    coef *= scale[:, c, None]
+    coef[:, 0] += centre[:, c]
+    bad = np.flatnonzero(null.any(axis=1))
+    if bad.size:   # move along the null space to the least norm of the coefficients in original units
+        sd = scale[bad][:, others[1:]]
+        to_units = np.eye(lam.shape[1]) / np.column_stack([np.ones(bad.size), sd])[:, None, :]
+        to_units[:, 0, 1:] = -centre[bad][:, others[1:]] / sd
+        basis = vec[bad] * null[bad, None, :]
+        shift = np.linalg.pinv(to_units @ basis) @ (to_units @ coef[bad, :, None])
+        coef[bad] -= (basis @ shift)[..., 0]
+    return np.insert(coef, c + 1, 0.0, axis=1)
 
 
 # --------------------------------------------------------------------------- standardization

@@ -141,12 +141,11 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
     edges = np.argwhere(keep).astype(np.int64)  # row-major == lexicographic
 
     src, dst = edges[:, 0], edges[:, 1]
-    for i, j in edges:
-        if lat[i] == lat[j] and lon[i] == lon[j]:
-            raise DataError(
-                f"stations {ids[i]!r} and {ids[j]!r} are co-located; "
-                "bearing is undefined for zero-distance edges"
-            )
+    co_located = (lat[src] == lat[dst]) & (lon[src] == lon[dst])
+    if co_located.any():
+        i, j = edges[np.argmax(co_located)]
+        raise DataError(f"stations {ids[i]!r} and {ids[j]!r} are co-located; "
+                        "bearing is undefined for zero-distance edges")
     bearing = _initial_bearing_deg(lat[src], lon[src], lat[dst], lon[dst]) if len(edges) else np.zeros(0)
     return StationNetwork(
         stations=list(stations),

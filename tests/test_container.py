@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from hazecast.container import load_arrays, save_arrays
+from hazecast.container import MAGIC, load_arrays, save_arrays
 from hazecast.errors import DataError
 
 
@@ -61,3 +64,28 @@ def test_truncated_payload_rejected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ValueError, match="dtype"):
         save_arrays(tmp_path / "x.bin", {"a": np.array(["text"])}, {})
+
+
+def rewrite_directory(path, **changes):
+    """Rewrite the container at ``path`` with ``changes`` to its first directory entry."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(MAGIC):start])
+    header = json.loads(blob[start:start + length])
+    header["arrays"][0].update(changes)
+    text = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + blob[start + length:])
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(dtype="|O8"), "unsupported dtype '|O8'"),
+    (dict(shape=[101]), "truncated container"),
+    (dict(shape=[10**12], nbytes=8 * 10**12), "truncated container"),
+    (dict(offset=8), "truncated container"),
+])
+def test_inconsistent_directory_rejected(tmp_path, changes, message):
+    path = tmp_path / "store.bin"
+    save_arrays(path, {"a": np.ones(100)}, {})
+    rewrite_directory(path, **changes)
+    with pytest.raises(DataError, match=message):
+        load_arrays(path)

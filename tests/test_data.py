@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -148,16 +149,168 @@ def gappy_panel():
 
 def test_imputation_runs_blas_on_one_thread(blas_threads, monkeypatch):
     seen = []
-    lstsq = np.linalg.lstsq
+    eigh = np.linalg.eigh
 
     def spy(*args, **kwargs):
         seen.append(blas_threads())
-        return lstsq(*args, **kwargs)
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     impute_chained(gappy_panel(), iterations=2)
     assert seen and set(seen) == {1}
     assert blas_threads() == 2
+
+
+def impute_oracle(panel, iterations=5):
+    """The per-station loop of one ``np.linalg.lstsq`` call per (station, feature, sweep)."""
+    values = panel.values.copy()
+    n_features = len(panel.features)
+    for st in range(panel.n_stations):
+        mask = ~np.isnan(panel.values[:, st, :])
+        if mask.all():
+            continue
+        z = values[:, st, :]
+        for c in range(n_features):
+            n_obs = int(mask[:, c].sum())
+            if n_obs < 2:
+                raise DataError(
+                    f"station {panel.station_ids[st]!r}, feature {panel.features[c]!r}: "
+                    f"only {n_obs} observed values; cannot impute")
+        for c in range(n_features):
+            miss = ~mask[:, c]
+            if miss.any():
+                z[miss, c] = z[mask[:, c], c].mean()
+        others = {c: [k for k in range(n_features) if k != c] for c in range(n_features)}
+        for _ in range(iterations):
+            for c in range(n_features):
+                miss = ~mask[:, c]
+                if not miss.any():
+                    continue
+                target_obs = z[mask[:, c], c]
+                if np.all(target_obs == target_obs[0]):
+                    z[miss, c] = target_obs[0]  # regression degenerates to the intercept
+                    continue
+                design = np.column_stack([np.ones(panel.n_steps), z[:, others[c]]])
+                coef, *_ = np.linalg.lstsq(design[mask[:, c]], target_obs, rcond=None)
+                z[miss, c] = design[miss] @ coef
+    return values
+
+
+#: Largest deviation from the oracle allowed, as a share of the feature's observed std.
+ORACLE_TOLERANCE = 1e-8
+
+
+def assert_matches_oracle(panel, iterations=5):
+    """``impute_chained`` agrees with the oracle; observed cells keep their bits."""
+    got = impute_chained(panel, iterations=iterations).values
+    want = impute_oracle(panel, iterations=iterations)
+    observed = ~np.isnan(panel.values)
+    assert got[observed].tobytes() == panel.values[observed].tobytes()
+    assert np.isfinite(got).all()
+    # The smaller of the station's and the pooled observed std of each feature.
+    std = np.minimum(np.nanstd(panel.values, axis=0), np.nanstd(panel.values, axis=(0, 1)))
+    assert np.all(np.abs(got - want) <= ORACLE_TOLERANCE * std)
+    return got
+
+
+def correlated_panel(seed=5, steps=300, stations=4, features=5, gap=0.15, outage=30):
+    """Gappy panel of correlated features on unlike scales.
+
+    About ``gap`` of the cells are missing at random, plus a run of
+    ``outage`` rows of one feature per station.
+    """
+    rng = np.random.default_rng(seed)
+    mixing = rng.normal(size=(features, features))
+    values = rng.normal(size=(steps, stations, features)) @ mixing
+    values = values * 10.0 ** np.arange(-1, features - 1) + 100.0 * np.arange(features)
+    absent = rng.random(values.shape) < gap
+    for st in range(stations):
+        start = rng.integers(0, steps - outage)
+        absent[start:start + outage, st, rng.integers(0, features)] = True
+    absent[:2] = False
+    return RawPanel(
+        timestamps=np.datetime64("2020-01-01T00:00") + np.arange(steps) * np.timedelta64(60, "m"),
+        values=np.where(absent, np.nan, values),
+        station_ids=[f"s{k}" for k in range(stations)],
+        features=tuple(f"f{k}" for k in range(features)),
+        cadence_hours=1.0,
+    )
+
+
+@pytest.mark.parametrize("iterations", [1, 5])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_imputation_matches_lstsq_oracle(seed, iterations):
+    assert_matches_oracle(correlated_panel(seed), iterations)
+
+
+def test_imputation_small_panel_matches_oracle():
+    assert_matches_oracle(gappy_panel())
+
+
+def test_imputation_leaves_complete_stations_and_panels_alone():
+    panel = correlated_panel()
+    panel.values[:, 1] = np.nan_to_num(panel.values[:, 1], nan=7.25)
+    got = assert_matches_oracle(panel)
+    assert got[:, 1].tobytes() == panel.values[:, 1].tobytes()
+    complete = correlated_panel(gap=0.0, outage=0)
+    assert impute_chained(complete).values.tobytes() == complete.values.tobytes()
+
+
+def test_imputation_is_deterministic():
+    panel = correlated_panel()
+    assert impute_chained(panel).values.tobytes() == impute_chained(panel).values.tobytes()
+
+
+def test_imputation_fills_constant_feature_with_its_constant():
+    panel = correlated_panel()
+    values = panel.values[:, 2]
+    observed = ~np.isnan(values[:, 3])
+    values[observed, 3] = 1013.7
+    # f4 is constant on those rows too, so a least-squares fit of f3 would
+    # split the constant between the intercept and f4 and miss it elsewhere.
+    values[observed, 4] = 5.0
+    got = assert_matches_oracle(panel)
+    assert np.all(got[:, 2, 3] == 1013.7)
+
+
+def rank_deficient_panel(kind):
+    """Target f0 has gaps.  On the rows where it is observed, f2 is constant
+    (``kind="constant"``) or equal to f1 (``kind="duplicate"``); on the rows
+    where it is missing, f2 moves off that by a little noise, so each least
+    squares solution fills f0 differently and only the least-norm one agrees
+    with the oracle.  The noise is small, which keeps the later designs well
+    conditioned (see ``impute_chained`` on conditioning)."""
+    panel = correlated_panel(gap=0.0, outage=0)
+    values = panel.values
+    rng = np.random.default_rng(8)
+    missing = rng.random(values.shape[:2]) < 0.2
+    missing[:2] = False
+    base = 4.0 if kind == "constant" else values[:, :, 1]
+    values[:, :, 2] = base + np.where(missing, rng.normal(scale=0.1, size=missing.shape), 0.0)
+    values[:, :, 0][missing] = np.nan
+    values[5:9, 1, 3] = np.nan
+    return panel
+
+
+@pytest.mark.parametrize("kind", ["constant", "duplicate"])
+def test_imputation_rank_deficient_design_gives_least_norm_fill(kind):
+    assert_matches_oracle(rank_deficient_panel(kind))
+
+
+def test_imputation_needs_two_observed_values():
+    panel = correlated_panel()
+    panel.values[:, 3, 0] = np.nan
+    panel.values[7, 3, 0] = 1.0
+    panel.values[:, 1, 4] = np.nan
+    panel.values[:, 2, 1] = np.nan
+    message = "station 's1', feature 'f4': only 0 observed values; cannot impute"
+    with pytest.raises(DataError, match=message):
+        impute_oracle(panel)
+    with pytest.raises(DataError, match=message):
+        impute_chained(panel)
+    panel.values[:, 1:3] = 1.0
+    with pytest.raises(DataError, match="station 's3', feature 'f0': only 1 observed values"):
+        impute_chained(panel)
 
 
 # ---------------------------------------------------------------- corpus on disk
@@ -303,6 +456,105 @@ def test_load_corpus_rejects_unparseable_value(tmp_path):
     path = edit_series(tmp_path, "a", set_cell(3, 1, "n/a"))
     with pytest.raises(DataError, match=f"{path}:3: bad value 'n/a' for rh"):
         load_corpus(manifest)
+
+
+def blank_cells(row, columns):
+    """Edit of a series' lines emptying ``columns`` of 0-based data row ``row``."""
+    def edit(lines):
+        cells = lines[row + 1].split(",")
+        for k in columns:
+            cells[k] = ""
+        lines[row + 1] = ",".join(cells)
+        return lines
+    return edit
+
+
+def series_text(*edits, newline="\n"):
+    """Text of a 12-row series file after ``edits`` of its lines."""
+    lines = series_lines(np.random.default_rng(2), steps=12)
+    for edit in edits:
+        lines = edit(lines)
+    return newline.join(lines) + newline
+
+
+def spaced(lines):
+    return [lines[0]] + [" " + line.replace(",", " ,  ") + "  " for line in lines[1:]]
+
+
+PLAIN_FILES = {
+    "first and last value columns empty": series_text(blank_cells(0, [1]), blank_cells(3, [9]),
+                                                      blank_cells(11, [1, 9])),
+    "adjacent empty cells": series_text(blank_cells(2, [3, 4, 5, 6]), blank_cells(5, [8, 9])),
+    "every value empty": series_text(blank_cells(4, range(1, 10))),
+    "CRLF line endings": series_text(blank_cells(1, [2, 9]), newline="\r\n"),
+    "spaces around cells": series_text(blank_cells(6, [5]), spaced),
+    "trailing blank lines": series_text(blank_cells(7, [1]), lambda lines: lines + ["", "   ", ""]),
+}
+
+
+def read_series(tmp_path, text):
+    """The series file holding ``text``, and the row parser's arrays of it."""
+    path = tmp_path / "S.csv"
+    path.write_bytes(text.encode())
+    return path, hazecast.data._parse_rows(path, text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", PLAIN_FILES)
+def test_fast_read_matches_row_parser(tmp_path, monkeypatch, name):
+    path, (want_ts, want_values) = read_series(tmp_path, PLAIN_FILES[name])
+    assert np.isnan(want_values).any()
+
+    def refuse(*args):
+        raise AssertionError("the fast read handed a plain file to the row parser")
+
+    monkeypatch.setattr(hazecast.data, "_parse_rows", refuse)
+    ts, values = hazecast.data._load_series(path)
+    assert_bitwise_equal(ts, want_ts)
+    assert_bitwise_equal(values, want_values)
+
+
+@pytest.mark.parametrize("text", [
+    series_text(set_cell(3, 2, '"1.5"')),
+    series_text(lambda lines: ['"timestamp"' + lines[0][len("timestamp"):]] + lines[1:]),
+    series_text(set_cell(3, 2, "\t1.5")),
+], ids=["quoted cell", "quoted header", "tab"])
+def test_files_the_fast_read_declines_go_to_the_row_parser(tmp_path, monkeypatch, text):
+    path, want = read_series(tmp_path, text)
+    calls = []
+    parse_rows = hazecast.data._parse_rows
+
+    def spy(*args):
+        calls.append(args)
+        return parse_rows(*args)
+
+    monkeypatch.setattr(hazecast.data, "_parse_rows", spy)
+    for got, expected in zip(hazecast.data._load_series(path), want):
+        assert_bitwise_equal(got, expected)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (set_cell(4, 1 + FEATURES.index("temp"), "1e999"), ":4: non-finite value '1e999' for temp"),
+    (set_cell(4, 1 + FEATURES.index("tp"), "-1E+400"), ":4: non-finite value '-1E\\+400' for tp"),
+    (lambda lines: [lines[0]] + [line + ",0.5" for line in lines[1:]], ":2: expected 10 fields, got 11"),
+    (lambda lines: [lines[0]] + [line.split(",")[0] for line in lines[1:]], ":2: expected 10 fields, got 1"),
+], ids=["overflow", "negative overflow", "extra field in every row", "no comma in any row"])
+def test_plain_looking_faults_reported_with_line(tmp_path, edit, message):
+    path = tmp_path / "S.csv"
+    path.write_text(series_text(edit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"{path}{message}"):
+            hazecast.data._load_series(path)
+
+
+@pytest.mark.parametrize("text", [",".join(SERIES_HEADER) + "\n", ",".join(SERIES_HEADER) + "\r\n\n  \n"])
+def test_header_only_file_has_no_data_rows(tmp_path, text):
+    path = tmp_path / "S.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError, match=f"{path}: no data rows"):
+        hazecast.data._load_series(path)
 
 
 # ---------------------------------------------------------------- splits and statistics

@@ -186,6 +186,14 @@ class TestBuildNetwork:
         with pytest.raises(DataError, match="duplicate"):
             build_network([S("a", 0, 0), S("a", 0.01, 0)], threshold_km=5.0)
 
+    def test_co_located_stations_rejected(self):
+        # Edges (0, 2) and (1, 3) join co-located pairs; the error names the first in edge order.
+        sts = [S("a", 0.0, 0.0), S("b", 0.01, 0.0), S("c", 0.0, 0.0), S("d", 0.01, 0.0)]
+        with pytest.raises(DataError, match="stations 'a' and 'c' are co-located"):
+            build_network(sts, threshold_km=5.0)
+        with pytest.raises(DataError, match="stations 'b' and 'd' are co-located"):
+            build_network(sts[1:], threshold_km=5.0)
+
 
 class TestAdvection:
     def test_wind_aligned_with_edge(self):
