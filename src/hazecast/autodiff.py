@@ -15,6 +15,15 @@ Both row primitives sum through :func:`segment_sum`, which costs time and
 memory linear in the number of rows summed.  Everything runs single-threaded
 over numpy (see :func:`single_threaded_blas`), so identical inputs give
 bit-identical results.
+
+A layer can also record one fused node through :meth:`Tensor._make`, with
+every weight as a parent and a hand-derived backward; what such a node keeps
+alive until backward is whatever its backward closure refers to.  The
+per-step layers of :mod:`hazecast.layers` do so and keep only small arrays:
+``GruCell`` its joint input and three gates, ``TransformerConv`` its (L, d)
+node projections and (E, 1) attention weights, ``LuongAttention`` its (H, L)
+attention weights and (L, d) query, joint and output, ``SpaceTimeEmbedding``
+its scaled coordinates.  :func:`linear` keeps its input and weight only.
 """
 
 from __future__ import annotations
@@ -120,6 +129,19 @@ def segment_sum(values, index, n_rows: int) -> np.ndarray:
     return out.reshape((n_rows,) + values.shape[1:])
 
 
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function ``1 / (1 + exp(-v))`` of an array."""
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """``x @ weight.T + bias`` on plain arrays: the forward of :func:`linear`."""
+    out = x @ weight.T
+    if bias is not None:
+        out += bias
+    return out
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -138,6 +160,10 @@ class Tensor:
 
     @classmethod
     def _make(cls, data, parents, backward) -> "Tensor":
+        """A node with value ``data``; ``backward(g)`` returns one gradient (or None) per parent.
+
+        Nothing is recorded when no parent requires grad or under :func:`no_grad`.
+        """
         out = cls(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -154,7 +180,8 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a size-1 tensor of any shape, as a Python float."""
+        return float(self.data.item())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -228,7 +255,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), lambda g: (g * (1.0 - out_data ** 2),))
 
     def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = sigmoid(self.data)
         return Tensor._make(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
 
     # -- reductions ----------------------------------------------------------
@@ -245,7 +272,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else self.data.shape[axis]
+        count = self.data.size if axis is None else int(np.prod(np.take(self.data.shape, axis)))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- shape manipulation ---------------------------------------------------
@@ -325,11 +352,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` of row-stacked inputs, as one tape node."""
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ValueError("linear supports 2-D operands only")
-    out_data = x.data @ weight.data.T
-    parents = (x, weight)
-    if bias is not None:
-        out_data += bias.data
-        parents += (bias,)
+    out_data = affine(x.data, weight.data, None if bias is None else bias.data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
         gx = g @ weight.data if x.requires_grad else None

@@ -1,12 +1,17 @@
 """Differentiable building blocks for the forecasting models.
 
-Every layer owns its weights as :class:`~hazecast.autodiff.Tensor` leaves and
-exposes a forward method built from tape primitives, so analytic gradients of
-any composition come from ``Tensor.backward``.  Weight matrices are drawn
-uniformly from ±sqrt(1/fan_in); biases (optional everywhere, on by default)
-start at zero.  Softmaxes subtract a constant per-group maximum before
-exponentiating, which changes neither values nor gradients but avoids
-overflow on large logits.
+Every layer owns its weights as :class:`~hazecast.autodiff.Tensor` leaves, so
+analytic gradients of any composition come from ``Tensor.backward``.  The
+layers the model unrolls per time step (:class:`GruCell`,
+:class:`TransformerConv`, :class:`LuongAttention` and
+:class:`SpaceTimeEmbedding`) each record one tape node per call, built with
+``Tensor._make`` with every weight as a parent.  Its hand-derived backward
+keeps only small arrays (each class says which) and recomputes the rest, so
+the tape holds no per-edge or (history, nodes, width) array between forward
+and backward.  Weight matrices are drawn uniformly from ±sqrt(1/fan_in);
+biases (optional everywhere, on by default) start at zero.  Softmaxes
+subtract a constant per-group maximum before exponentiating, which changes
+neither values nor gradients but avoids overflow on large logits.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, concat, linear
+from .autodiff import Tensor, affine, linear, segment_sum, sigmoid
 from .errors import NumericError
 
 LOCATION_SCALE = np.array([90.0, 180.0])  # degrees -> [-1, 1]
@@ -46,10 +51,24 @@ class Linear:
             raise ValueError(f"{self.name}: expected input dim {self.in_dim}, got {x.shape[-1]}")
         return linear(x, self.weight, self.bias)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The map on a plain array, for fused layers that record their own node."""
+        return affine(x, self.weight.data, None if self.bias is None else self.bias.data)
+
+    def param_grads(self, dy: np.ndarray, x: np.ndarray) -> tuple:
+        """Gradients of the weight (and bias) for input ``x`` and output gradient ``dy``."""
+        gw = dy.T @ x
+        return (gw,) if self.bias is None else (gw, dy.sum(axis=0))
+
     def params(self):
         yield f"{self.name}.weight", self.weight
         if self.bias is not None:
             yield f"{self.name}.bias", self.bias
+
+
+def _weights(layer) -> tuple:
+    """A layer's weight tensors in ``params`` order, as parents of its fused node."""
+    return tuple(t for _, t in layer.params())
 
 
 class GruCell:
@@ -61,6 +80,9 @@ class GruCell:
 
     Each output coordinate is a convex combination of the previous hidden
     state and a value in (-1, 1), so |h_i| never exceeds max(|h_prev,i|, 1).
+
+    ``step`` is one tape node.  For backward it keeps the joint input
+    [h, x] and the update, reset and candidate gates, each (rows, hidden).
     """
 
     def __init__(self, rng, input_dim: int, hidden_dim: int, bias: bool = True, name: str = "gru"):
@@ -79,11 +101,28 @@ class GruCell:
                 f"got {h_prev.shape[-1]} / {x.shape[-1]}"
             )
         _check_finite(f"{self.name} input", x.data)
-        joint = concat([h_prev, x], axis=1)
-        update = self.w_update(joint).sigmoid()
-        reset = self.w_reset(joint).sigmoid()
-        cand = self.w_cand(concat([reset * h_prev, x], axis=1)).tanh()
-        return (1.0 - update) * h_prev + update * cand
+        hd = self.hidden_dim
+        joint = np.concatenate([h_prev.data, x.data], axis=1)
+        h = joint[:, :hd]
+        update = sigmoid(self.w_update.apply(joint))
+        reset = sigmoid(self.w_reset.apply(joint))
+        cand = np.tanh(self.w_cand.apply(np.concatenate([reset * h, joint[:, hd:]], axis=1)))
+        out = (1.0 - update) * h + update * cand
+
+        def backward(g):
+            d_update = g * (cand - h) * update * (1.0 - update)
+            d_cand = g * update * (1.0 - cand * cand)
+            d_gated = d_cand @ self.w_cand.weight.data
+            d_reset = d_gated[:, :hd] * h * reset * (1.0 - reset)
+            d_joint = d_update @ self.w_update.weight.data + d_reset @ self.w_reset.weight.data
+            d_h = d_joint[:, :hd] + g * (1.0 - update) + d_gated[:, :hd] * reset
+            gated = np.concatenate([reset * h, joint[:, hd:]], axis=1)
+            return (d_h, d_joint[:, hd:] + d_gated[:, hd:],
+                    *self.w_update.param_grads(d_update, joint),
+                    *self.w_reset.param_grads(d_reset, joint),
+                    *self.w_cand.param_grads(d_cand, gated))
+
+        return Tensor._make(out, (h_prev, x, *_weights(self)), backward)
 
     def params(self):
         for lin in (self.w_update, self.w_reset, self.w_cand):
@@ -111,14 +150,13 @@ class GraphLayout:
         return per_edge.scatter_rows(self.dst, self.n_nodes)
 
 
-def _segment_softmax(logits: Tensor, layout: GraphLayout) -> Tensor:
-    """Softmax of per-edge logits over the in-edges of each sink, as (E, 1)."""
-    _check_finite("attention logits", logits.data)
+def _segment_softmax(logits: np.ndarray, layout: GraphLayout) -> np.ndarray:
+    """Softmax of per-edge logits (E,) over the in-edges of each sink, as (E, 1)."""
+    _check_finite("attention logits", logits)
     shift = np.full(layout.n_nodes, -np.inf)
-    np.maximum.at(shift, layout.dst, logits.data)
-    exp = (logits - shift[layout.dst]).exp().reshape(layout.n_edges, 1)
-    denom = layout.aggregate(exp)
-    return exp / denom.gather_rows(layout.dst)
+    np.maximum.at(shift, layout.dst, logits)
+    exp = np.exp(logits - shift[layout.dst]).reshape(layout.n_edges, 1)
+    return exp / segment_sum(exp, layout.dst, layout.n_nodes)[layout.dst]
 
 
 class TransformerConv:
@@ -128,6 +166,12 @@ class TransformerConv:
     sum_j softmax_j(query(P_i) . (key(P_j) + edge_key(E_ji)) / sqrt(d)) *
     (msg(P_j) + edge_msg(E_ji)), where d is the key dimension.  Nodes with no
     in-edges reduce to the root map alone.
+
+    A call is one tape node.  For backward it keeps the node projections
+    query(P), key(P) and msg(P), each (nodes, width), and the attention
+    weights (E, 1); backward gathers the per-edge rows from them again and
+    recomputes the two edge-attribute maps, so no (E, width) array stays on
+    the tape.
     """
 
     def __init__(self, rng, node_dim: int, out_dim: int, edge_dim: int,
@@ -146,21 +190,44 @@ class TransformerConv:
 
     def __call__(self, nodes: Tensor, layout: GraphLayout, edge_feats: Tensor) -> Tensor:
         _check_finite(f"{self.name} node input", nodes.data)
-        root = self.w_root(nodes)
-        if layout.n_edges == 0:
-            return root
         if edge_feats.shape != (layout.n_edges, self.edge_dim):
             raise ValueError(
                 f"{self.name}: expected edge features ({layout.n_edges}, {self.edge_dim}), "
                 f"got {edge_feats.shape}"
             )
         _check_finite(f"{self.name} edge input", edge_feats.data)
-        query = self.w_query(nodes).gather_rows(layout.dst)
-        key = self.w_key(nodes).gather_rows(layout.src) + self.w_edge_key(edge_feats)
-        logits = (query * key).sum(axis=1) * (1.0 / math.sqrt(self.key_dim))
-        alpha = _segment_softmax(logits, layout)
-        message = self.w_msg(nodes).gather_rows(layout.src) + self.w_edge_msg(edge_feats)
-        return root + layout.aggregate(alpha * message)
+        p, a = nodes.data, edge_feats.data
+        src, dst, n = layout.src, layout.dst, layout.n_nodes
+        scale = 1.0 / math.sqrt(self.key_dim)
+        query, key, msg = self.w_query.apply(p), self.w_key.apply(p), self.w_msg.apply(p)
+        edge_key = key[src] + self.w_edge_key.apply(a)
+        alpha = _segment_softmax((query[dst] * edge_key).sum(axis=1) * scale, layout)
+        message = msg[src] + self.w_edge_msg.apply(a)
+        out = self.w_root.apply(p) + segment_sum(alpha * message, dst, n)
+
+        def backward(g):
+            g_edge = g[dst]
+            d_message = alpha * g_edge
+            d_alpha = (g_edge * (msg[src] + self.w_edge_msg.apply(a))).sum(axis=1, keepdims=True)
+            d_logits = alpha * (d_alpha - segment_sum(alpha * d_alpha, dst, n)[dst]) * scale
+            d_edge_key = d_logits * query[dst]
+            d_query = segment_sum(d_logits * (key[src] + self.w_edge_key.apply(a)), dst, n)
+            d_key = segment_sum(d_edge_key, src, n)
+            d_msg = segment_sum(d_message, src, n)
+            d_nodes = d_feats = None
+            if nodes.requires_grad:
+                d_nodes = (g @ self.w_root.weight.data + d_msg @ self.w_msg.weight.data
+                           + d_query @ self.w_query.weight.data + d_key @ self.w_key.weight.data)
+            if edge_feats.requires_grad:
+                d_feats = (d_edge_key @ self.w_edge_key.weight.data
+                           + d_message @ self.w_edge_msg.weight.data)
+            return (d_nodes, d_feats,
+                    *self.w_root.param_grads(g, p), *self.w_msg.param_grads(d_msg, p),
+                    *self.w_query.param_grads(d_query, p), *self.w_key.param_grads(d_key, p),
+                    *self.w_edge_key.param_grads(d_edge_key, a),
+                    *self.w_edge_msg.param_grads(d_message, a))
+
+        return Tensor._make(out, (nodes, edge_feats, *_weights(self)), backward)
 
     def params(self):
         for lin in (self.w_root, self.w_msg, self.w_query, self.w_key,
@@ -196,6 +263,16 @@ class ScalarGraphConv:
         yield from self.w_msg.params()
 
 
+def _scores(hist: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(H, L) dot products of each history row ``hist[t, i]`` (H, L, d) with ``vec[i]``."""
+    return (hist.transpose(1, 0, 2) @ vec[:, :, None])[:, :, 0].T
+
+
+def _mix(weights: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """(L, d) sums over history steps t of ``weights[t, i] * hist[t, i]``."""
+    return (weights.T[:, None, :] @ hist.transpose(1, 0, 2))[:, 0, :]
+
+
 class LuongAttention:
     """Bilinear-score attention of a decoder state over encoder history.
 
@@ -205,6 +282,11 @@ class LuongAttention:
     decoder state attends over row i of each history entry.  The score is
     computed as (dec W_score) . enc_t, so the score matrix meets the decoder
     state once per call rather than every history entry.
+
+    A call is one tape node.  Scores and context are matrix products
+    batched over rows (:func:`_scores`, :func:`_mix`) that build no (H, L, d)
+    array.  For backward it keeps the (H, L) weights, the projected query,
+    the joint [context, dec] and the output, each (L, width).
     """
 
     def __init__(self, rng, hidden_dim: int, bias: bool = True, name: str = "attention"):
@@ -216,15 +298,31 @@ class LuongAttention:
     def __call__(self, history: Tensor, decoder_state: Tensor) -> Tensor:
         if history.shape[0] == 0:
             raise ValueError(f"{self.name}: empty encoder history")
-        n_steps, n_rows = history.shape[:2]
-        query = decoder_state @ self.w_score.weight
-        logits = (history * query).sum(axis=2)
-        _check_finite(f"{self.name} scores", logits.data)
-        shift = logits.data.max(axis=0)  # constant; softmax is shift-invariant
-        exp = (logits - shift).exp()
+        hist, state = history.data, decoder_state.data
+        w_score = self.w_score.weight.data
+        query = state @ w_score
+        logits = _scores(hist, query)
+        _check_finite(f"{self.name} scores", logits)
+        exp = np.exp(logits - logits.max(axis=0))
         weights = exp / exp.sum(axis=0, keepdims=True)
-        context = (weights.reshape(n_steps, n_rows, 1) * history).sum(axis=0)
-        return self.w_out(concat([context, decoder_state], axis=1)).tanh()
+        joint = np.concatenate([_mix(weights, hist), state], axis=1)
+        out = np.tanh(self.w_out.apply(joint))
+
+        def backward(g):
+            d_z = g * (1.0 - out * out)
+            d_joint = d_z @ self.w_out.weight.data
+            d_context = d_joint[:, :self.hidden_dim]
+            d_weights = _scores(hist, d_context)
+            d_logits = weights * (d_weights - (weights * d_weights).sum(axis=0))
+            d_query = _mix(d_logits, hist)
+            d_hist = None
+            if history.requires_grad:
+                d_hist = (np.einsum("hl,ld->hld", weights, d_context)
+                          + np.einsum("hl,ld->hld", d_logits, query))
+            d_state = d_joint[:, self.hidden_dim:] + d_query @ w_score.T
+            return (d_hist, d_state, state.T @ d_query, *self.w_out.param_grads(d_z, joint))
+
+        return Tensor._make(out, (history, decoder_state, *_weights(self)), backward)
 
     def params(self):
         yield from self.w_score.params()
@@ -236,6 +334,8 @@ class SpaceTimeEmbedding:
 
     The output row per station is [hour row, day-of-week row, month row,
     projected (lat/90, lon/180)], four blocks of the embedding width each.
+    A call is one tape node that keeps only the scaled coordinates (rows, 2);
+    its backward adds each block's column sums into that table's row.
     """
 
     def __init__(self, rng, embed_dim: int = 8, bias: bool = True, name: str = "embed"):
@@ -258,15 +358,24 @@ class SpaceTimeEmbedding:
             raise ValueError(f"day-of-week {dow} outside 0..6")
         if not 1 <= month <= 12:
             raise ValueError(f"month {month} outside 1..12")
-        coords = np.asarray(coords, dtype=float).reshape(-1, 2)
-        n = coords.shape[0]
-        blocks = [
-            self.hour_table.gather_rows(np.full(n, hour)),
-            self.dow_table.gather_rows(np.full(n, dow)),
-            self.month_table.gather_rows(np.full(n, month - 1)),
-            self.location(Tensor(coords / LOCATION_SCALE)),
-        ]
-        return concat(blocks, axis=1)
+        scaled = np.asarray(coords, dtype=float).reshape(-1, 2) / LOCATION_SCALE
+        e = self.embed_dim
+        tables = (self.hour_table, self.dow_table, self.month_table)
+        rows = (hour, dow, month - 1)
+        out = np.empty((scaled.shape[0], self.out_dim))
+        for k, (table, row) in enumerate(zip(tables, rows)):
+            out[:, k * e:(k + 1) * e] = table.data[row]
+        out[:, 3 * e:] = self.location.apply(scaled)
+
+        def backward(g):
+            grads = []
+            for k, (table, row) in enumerate(zip(tables, rows)):
+                d_table = np.zeros_like(table.data)
+                d_table[row] = g[:, k * e:(k + 1) * e].sum(axis=0)
+                grads.append(d_table)
+            return (*grads, *self.location.param_grads(g[:, 3 * e:], scaled))
+
+        return Tensor._make(out, _weights(self), backward)
 
     def embed_one(self, latitude: float, longitude: float, hour: int, dow: int, month: int) -> np.ndarray:
         """Embedding vector for a single (location, timestamp) pair."""

@@ -117,6 +117,28 @@ def test_reduction_gradients():
     assert_gradients_match(loss, {"x": x})
 
 
+def test_mean_over_tuple_axes():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    out = x.mean(axis=(0, 1))
+    assert np.allclose(out.data, x.data.mean(axis=(0, 1)), rtol=1e-14)
+
+    def loss():
+        return (x.mean(axis=(0, 2)) * np.array([1.0, -2.0, 0.5])).sum() + x.mean(axis=(-1, 0)).sum()
+
+    assert_gradients_match(loss, {"x": x})
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_of_any_size_one_tensor(shape):
+    assert Tensor(np.full(shape, 2.5)).item() == 2.5
+
+
+def test_item_rejects_larger_tensor():
+    with pytest.raises(ValueError):
+        Tensor(np.zeros(2)).item()
+
+
 def test_concat_stack_gather_getitem_gradients():
     rng = np.random.default_rng(4)
     a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)

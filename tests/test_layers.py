@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hazecast.autodiff import Tensor, stack
+from hazecast.data import WindowSample
 from hazecast.errors import NumericError
+from hazecast.geo import Station, build_network, edge_attributes_at
 from hazecast.layers import (
     GraphLayout,
     GruCell,
@@ -17,6 +19,7 @@ from hazecast.layers import (
     TransformerConv,
     _segment_softmax,
 )
+from hazecast.model import Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
 
@@ -109,6 +112,38 @@ class TestGruCell:
         tensors = params_dict(cell)
         tensors["h_prev"], tensors["x"] = h_prev, x
         assert_gradients_match(loss, tensors)
+
+    def test_gradients_without_bias(self):
+        rng = np.random.default_rng(18)
+        cell = GruCell(rng, input_dim=2, hidden_dim=3, bias=False)
+        h_prev = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        probe = rng.normal(size=(3, 3))
+
+        def loss():
+            return (cell.step(h_prev, x) * probe).sum()
+
+        tensors = params_dict(cell)
+        tensors["h_prev"], tensors["x"] = h_prev, x
+        assert_gradients_match(loss, tensors)
+
+    def test_gradients_with_constant_inputs(self):
+        rng = np.random.default_rng(19)
+        cell = GruCell(rng, input_dim=2, hidden_dim=3)
+        h_prev, x = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 2)))
+        probe = rng.normal(size=(2, 3))
+
+        def loss():
+            return (cell.step(h_prev, x) * probe).sum()
+
+        assert_gradients_match(loss, params_dict(cell))
+
+    def test_one_tape_node_per_step(self):
+        rng = np.random.default_rng(20)
+        cell = GruCell(rng, input_dim=2, hidden_dim=3)
+        h_prev = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        assert recorded_nodes(cell.step(h_prev, x), stop=(h_prev, x)) == 1
 
 
 # ---------------------------------------------------------------- graph layout
@@ -245,8 +280,8 @@ class TestTransformerConv:
     def test_attention_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
         layout = tiny_graph()
-        logits = Tensor(rng.normal(scale=30.0, size=(3,)))
-        alpha = _segment_softmax(logits, layout).data.ravel()
+        logits = rng.normal(scale=30.0, size=(3,))
+        alpha = _segment_softmax(logits, layout).ravel()
         for node in range(3):
             mask = layout.dst == node
             if mask.any():
@@ -254,8 +289,8 @@ class TestTransformerConv:
 
     def test_softmax_stable_on_huge_logits(self):
         layout = tiny_graph()
-        logits = Tensor(np.array([5000.0, 5001.0, -4000.0]))
-        alpha = _segment_softmax(logits, layout).data
+        logits = np.array([5000.0, 5001.0, -4000.0])
+        alpha = _segment_softmax(logits, layout)
         assert np.all(np.isfinite(alpha))
 
     def test_permutation_equivariance(self):
@@ -296,6 +331,52 @@ class TestTransformerConv:
         tensors = params_dict(conv)
         tensors["nodes"], tensors["edge_feats"] = nodes, feats
         assert_gradients_match(loss, tensors)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("edges", [
+        [[0, 2], [1, 2], [2, 0]],            # node 1 is a sink with no in-edges
+        [],                                  # no edges at all: the root map
+        [[0, 1]],                            # a single in-neighbour
+        [[1, 0], [2, 0], [3, 0], [0, 2]],    # three in-neighbours of one sink
+    ])
+    def test_gradients_over_layouts(self, edges, bias):
+        rng = np.random.default_rng(12 + len(edges))
+        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2, key_dim=3, bias=bias)
+        layout = GraphLayout(np.array(edges, dtype=np.int64).reshape(-1, 2), n_nodes=4)
+        nodes = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        feats = Tensor(rng.normal(size=(len(edges), 2)), requires_grad=True)
+        probe = rng.normal(size=(4, 2))
+
+        def loss():
+            return (conv(nodes, layout, feats) * probe).sum()
+
+        tensors = params_dict(conv)
+        assert any(name.endswith("bias") for name in tensors) == bias
+        tensors["nodes"], tensors["edge_feats"] = nodes, feats
+        assert_gradients_match(loss, tensors)
+
+    def test_gradients_with_constant_edge_features(self):
+        rng = np.random.default_rng(21)
+        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
+        layout = tiny_graph()
+        nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        feats = Tensor(rng.normal(size=(3, 2)))
+        probe = rng.normal(size=(3, 2))
+
+        def loss():
+            return (conv(nodes, layout, feats) * probe).sum()
+
+        tensors = params_dict(conv)
+        tensors["nodes"] = nodes
+        assert_gradients_match(loss, tensors)
+        assert feats.grad is None
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(22)
+        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
+        nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        feats = Tensor(rng.normal(size=(3, 2)))
+        assert recorded_nodes(conv(nodes, tiny_graph(), feats), stop=(nodes, feats)) == 1
 
 
 # ---------------------------------------------------------------- scalar-weight conv
@@ -403,6 +484,36 @@ class TestLuongAttention:
             tensors[f"enc{k}"] = h
         assert_gradients_match(loss, tensors)
 
+    @pytest.mark.parametrize("n_steps", [1, 24])
+    def test_gradients_over_history_lengths(self, n_steps):
+        rng = np.random.default_rng(16 + n_steps)
+        attn = LuongAttention(rng, hidden_dim=3)
+        history = Tensor(rng.normal(size=(n_steps, 2, 3)), requires_grad=True)
+        dec = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        probe = rng.normal(size=(2, 3))
+
+        def loss():
+            return (attn(history, dec) * probe).sum()
+
+        tensors = params_dict(attn)
+        tensors["history"], tensors["dec"] = history, dec
+        assert_gradients_match(loss, tensors)
+
+    def test_gradients_without_output_bias(self):
+        rng = np.random.default_rng(17)
+        attn = LuongAttention(rng, hidden_dim=3, bias=False)
+        history = Tensor(rng.normal(size=(4, 2, 3)))
+        dec = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        probe = rng.normal(size=(2, 3))
+
+        def loss():
+            return (attn(history, dec) * probe).sum()
+
+        tensors = params_dict(attn)
+        assert "attention.out.bias" not in tensors
+        tensors["dec"] = dec
+        assert_gradients_match(loss, tensors)
+
     def test_tape_size_independent_of_history_length(self):
         rng = np.random.default_rng(15)
         attn = LuongAttention(rng, hidden_dim=3)
@@ -412,6 +523,13 @@ class TestLuongAttention:
             dec = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             counts.append(recorded_nodes(attn(history, dec), stop=(history, dec)))
         assert counts[0] == counts[1]
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(25)
+        attn = LuongAttention(rng, hidden_dim=3)
+        history = Tensor(rng.normal(size=(5, 4, 3)), requires_grad=True)
+        dec = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        assert recorded_nodes(attn(history, dec), stop=(history, dec)) == 1
 
 
 def recorded_nodes(output, stop):
@@ -487,6 +605,29 @@ class TestSpaceTimeEmbedding:
 
         assert_gradients_match(loss, params_dict(emb))
 
+    def test_gradients_accumulate_into_repeated_rows(self):
+        rng = np.random.default_rng(23)
+        emb = SpaceTimeEmbedding(rng, embed_dim=3, bias=False)
+        coords = np.array([[25.5, 85.2], [24.8, 85.0], [25.1, 84.7]])
+        probes = rng.normal(size=(2, 3, 12))
+
+        def loss():
+            # same hour and month in both calls, different day of week
+            first = emb(5, 3, 2, coords) * probes[0]
+            second = emb(5, 4, 2, coords) * probes[1]
+            return first.sum() + second.sum()
+
+        assert_gradients_match(loss, params_dict(emb))
+        hour_grad = emb.hour_table.grad
+        assert np.count_nonzero(np.abs(hour_grad).sum(axis=1)) == 1
+        assert np.allclose(hour_grad[5], probes[:, :, :3].sum(axis=(0, 1)), rtol=1e-14)
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(24)
+        emb = SpaceTimeEmbedding(rng, embed_dim=3)
+        out = emb(5, 3, 2, np.array([[25.5, 85.2], [24.8, 85.0]]))
+        assert recorded_nodes(out, stop=()) == 1
+
 
 # ---------------------------------------------------------------- MLP / Linear
 
@@ -548,3 +689,43 @@ def test_seeded_construction_is_bit_identical():
     b = GruCell(np.random.default_rng(77), input_dim=3, hidden_dim=4)
     for (_, ta), (_, tb) in zip(a.params(), b.params()):
         assert ta.data.tobytes() == tb.data.tobytes()
+
+
+# ---------------------------------------------------------------- tape memory
+
+
+def reference_window(seed=0, n_stations=30, steps=24, node_dim=9):
+    """A random agnn_gru window at the reference size: 30 stations, ~260 edges, H = F = 24."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-150.0, 150.0, size=(n_stations, 2)) / 111.0  # ~300 km square
+    stations = [Station(f"s{k}", 25.0 + dy, 85.0 + dx) for k, (dy, dx) in enumerate(offsets)]
+    network = build_network(stations, threshold_km=110.0)
+    sample = WindowSample(
+        x=rng.normal(size=(steps, n_stations, node_dim)),
+        y_hist=rng.normal(size=(steps, n_stations)),
+        spacetime=np.column_stack([rng.integers(0, 24, 2 * steps), rng.integers(0, 7, 2 * steps),
+                                   rng.integers(1, 13, 2 * steps)]),
+        coords=network.coordinates(),
+        y_future=rng.normal(size=(steps, n_stations)),
+        edge_feats=edge_attributes_at(network, rng.normal(0.0, 3.0, size=(steps, n_stations, 2))),
+    )
+    return network, sample
+
+
+def test_tape_memory_of_one_training_window():
+    network, sample = reference_window()
+    assert 200 <= network.edges.shape[0] <= 350
+    config = ModelConfig(variant="agnn_gru", hidden=64, history_steps=24, forecast_steps=24,
+                         node_dim=9)
+    model = Forecaster(config, network, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        diff = model.forward(sample) - Tensor(sample.y_future)
+        loss = (diff * diff).mean()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    loss.backward()
+    assert all(t.grad is not None for t in model.params.values())
+    assert held <= 16e6, f"tape holds {held / 1e6:.1f} MB between forward and backward"
