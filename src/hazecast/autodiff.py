@@ -14,16 +14,18 @@ concatenation/stacking, row gathering, the segment sum of rows by index
 Both row primitives sum through :func:`segment_sum`, which costs time and
 memory linear in the number of rows summed.  Everything runs single-threaded
 over numpy (see :func:`single_threaded_blas`), so identical inputs give
-bit-identical results.
+bit-identical results.  ``backward`` adds gradients in place, but only into
+arrays it allocated itself.
 
 A layer can also record one fused node through :meth:`Tensor._make`, with
 every weight as a parent and a hand-derived backward; what such a node keeps
 alive until backward is whatever its backward closure refers to.  The
 per-step layers of :mod:`hazecast.layers` do so and keep only small arrays:
 ``GruCell`` its joint input and three gates, ``TransformerConv`` its (L, d)
-node projections and (E, 1) attention weights, ``LuongAttention`` its (H, L)
-attention weights and (L, d) query, joint and output, ``SpaceTimeEmbedding``
-its scaled coordinates.  :func:`linear` keeps its input and weight only.
+query terms and edge-input sums and (E, 1) attention weights,
+``LuongAttention`` its (H, L) attention weights and (L, d) query, joint and
+output, ``SpaceTimeEmbedding`` its scaled coordinates.  :func:`linear` keeps
+its input and weight only.
 """
 
 from __future__ import annotations
@@ -112,20 +114,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def segment_sum(values, index, n_rows: int) -> np.ndarray:
+def segment_sum(values, index, n_rows: int, cache: dict | None = None) -> np.ndarray:
     """Sum the rows of ``values`` into ``n_rows`` rows: row ``index[k]`` gets ``values[k]``.
 
     Rows that no index hits stay zero.  Each output row accumulates its
     inputs in index order, so the result is deterministic and bit-identical
     to ``np.add.at``; one flat ``np.bincount`` over (row, column) cells does
-    the work without materializing any (n_rows, len(index)) array.
+    the work without materializing any (n_rows, len(index)) array.  A caller
+    that sums by one index often keeps a ``cache`` of its cells per row width.
     """
     values = np.asarray(values, dtype=np.float64)
-    index = np.asarray(index, dtype=np.int64)
     width = int(np.prod(values.shape[1:], dtype=np.int64))
-    cells = (index[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(cells, weights=values.reshape(index.size, width).ravel(),
-                      minlength=n_rows * width)
+    cache = {} if cache is None else cache
+    if width not in cache:
+        cache[width] = (np.asarray(index, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(cache[width], weights=values.ravel(), minlength=n_rows * width)
     return out.reshape((n_rows,) + values.shape[1:])
 
 
@@ -325,26 +328,33 @@ class Tensor:
             else:
                 order.append(node)
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        # A handed-over array may be shared (``__add__`` passes its gradient
+        # on as is), so the first write copies it; later ones add in place.
+        grads: dict[int, np.ndarray] = {}
+        owned: set[int] = set()
+
+        def accumulate(node: Tensor, g: np.ndarray) -> None:
+            key = id(node)
+            if node._backward is None and node.grad is None:
+                node.grad = np.array(np.broadcast_to(g, node.shape))
+            elif node._backward is None:
+                node.grad += g
+            elif key in owned:
+                grads[key] += g
+            elif key in grads:
+                grads[key] = grads[key] + g
+                owned.add(key)
+            else:
+                grads[key] = g
+
+        accumulate(self, grad)
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
-                # leaf: accumulate into .grad
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
-                continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is not None and parent.requires_grad:
+                    accumulate(parent, pg)
         # interior tensors with explicitly requested grads are not retained
 
 

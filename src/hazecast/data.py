@@ -21,6 +21,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,11 @@ class PreparedData:
         return self.x.shape[2]
 
     def network(self) -> StationNetwork:
+        """The station graph, built on first use and shared by every later call."""
+        return self._network
+
+    @cached_property
+    def _network(self) -> StationNetwork:
         stations = [Station(sid, float(lat), float(lon))
                     for sid, (lat, lon) in zip(self.station_ids, self.coords)]
         return build_network(stations, self.threshold_km)

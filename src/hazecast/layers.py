@@ -7,11 +7,13 @@ layers the model unrolls per time step (:class:`GruCell`,
 :class:`SpaceTimeEmbedding`) each record one tape node per call, built with
 ``Tensor._make`` with every weight as a parent.  Its hand-derived backward
 keeps only small arrays (each class says which) and recomputes the rest, so
-the tape holds no per-edge or (history, nodes, width) array between forward
-and backward.  Weight matrices are drawn uniformly from ±sqrt(1/fan_in);
-biases (optional everywhere, on by default) start at zero.  Softmaxes
-subtract a constant per-group maximum before exponentiating, which changes
-neither values nor gradients but avoids overflow on large logits.
+the tape holds no (E, width) or (history, nodes, width) array between forward
+and backward.  The graph layer applies its maps on the node side of the edge
+sums, so its per-edge arrays are as wide as its inputs, not its output.
+Weight matrices are drawn uniformly from ±sqrt(1/fan_in); biases (optional
+everywhere, on by default) start at zero.  Softmaxes subtract a constant
+per-group maximum before exponentiating, which changes neither values nor
+gradients but avoids overflow on large logits.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ class GraphLayout:
     """Static per-network indexing shared by the graph layers.
 
     Holds the (source, sink) index arrays and each node's in-degree.  Per-edge
-    messages are summed into their sink nodes by a segment sum over the sink
-    index, so time and memory grow linearly with the number of edges.
+    rows are summed into nodes by :meth:`segment_sum`, which caches its cells
+    per (side, width); time and memory grow linearly with the number of edges.
     """
 
     def __init__(self, edges: np.ndarray, n_nodes: int):
@@ -144,10 +146,15 @@ class GraphLayout:
         self.src = edges[:, 0]
         self.dst = edges[:, 1]
         self.in_degree = np.bincount(self.dst, minlength=self.n_nodes)
+        self._cells: dict[str, dict[int, np.ndarray]] = {"src": {}, "dst": {}}
+
+    def segment_sum(self, per_edge: np.ndarray, side: str = "dst") -> np.ndarray:
+        """Sum per-edge rows into the node at each edge's ``side`` ("dst" or "src")."""
+        return segment_sum(per_edge, getattr(self, side), self.n_nodes, self._cells[side])
 
     def aggregate(self, per_edge: Tensor) -> Tensor:
         """Sum per-edge rows into their sink nodes: (E, d) -> (L, d)."""
-        return per_edge.scatter_rows(self.dst, self.n_nodes)
+        return Tensor._make(self.segment_sum(per_edge.data), (per_edge,), lambda g: (g[self.dst],))
 
 
 def _segment_softmax(logits: np.ndarray, layout: GraphLayout) -> np.ndarray:
@@ -156,7 +163,7 @@ def _segment_softmax(logits: np.ndarray, layout: GraphLayout) -> np.ndarray:
     shift = np.full(layout.n_nodes, -np.inf)
     np.maximum.at(shift, layout.dst, logits)
     exp = np.exp(logits - shift[layout.dst]).reshape(layout.n_edges, 1)
-    return exp / segment_sum(exp, layout.dst, layout.n_nodes)[layout.dst]
+    return exp / layout.segment_sum(exp)[layout.dst]
 
 
 class TransformerConv:
@@ -167,11 +174,14 @@ class TransformerConv:
     (msg(P_j) + edge_msg(E_ji)), where d is the key dimension.  Nodes with no
     in-edges reduce to the root map alone.
 
-    A call is one tape node.  For backward it keeps the node projections
-    query(P), key(P) and msg(P), each (nodes, width), and the attention
-    weights (E, 1); backward gathers the per-edge rows from them again and
-    recomputes the two edge-attribute maps, so no (E, width) array stays on
-    the tape.
+    No map runs per edge.  With edge rows x = [P_j, E_ji, 1] and the maps set
+    side by side, K = [W_key, W_edge_key, b_key + b_edge_key] and M likewise,
+    the logit is (query(P_i) K) . x / sqrt(d) and the message sum is
+    (sum_j alpha_ji x) M^T, so per-edge arrays are node_dim + edge_dim + 1
+    wide, not out_dim.  A call is one tape node; it keeps query(P), query(P) K
+    and the alpha-weighted sums of x, each (nodes, width), and the (E, 1)
+    weights, and backward gathers x again.  The key biases shift all logits
+    of a sink alike, so their gradients are zero up to rounding.
     """
 
     def __init__(self, rng, node_dim: int, out_dim: int, edge_dim: int,
@@ -197,35 +207,48 @@ class TransformerConv:
             )
         _check_finite(f"{self.name} edge input", edge_feats.data)
         p, a = nodes.data, edge_feats.data
-        src, dst, n = layout.src, layout.dst, layout.n_nodes
+        src, dst, n_in, has_bias = layout.src, layout.dst, self.node_dim, self.w_key.bias is not None
         scale = 1.0 / math.sqrt(self.key_dim)
-        query, key, msg = self.w_query.apply(p), self.w_key.apply(p), self.w_msg.apply(p)
-        edge_key = key[src] + self.w_edge_key.apply(a)
-        alpha = _segment_softmax((query[dst] * edge_key).sum(axis=1) * scale, layout)
-        message = msg[src] + self.w_edge_msg.apply(a)
-        out = self.w_root.apply(p) + segment_sum(alpha * message, dst, n)
+
+        def edge_inputs() -> np.ndarray:
+            x = np.column_stack((p, np.zeros((len(p), self.edge_dim)), np.ones(len(p))))[src]
+            x[:, n_in:-1] = a
+            return x
+
+        # Each (E, width) buffer is reused in place once its values are spent:
+        # fresh arrays of that size cost more in page faults than in arithmetic.
+        w_key, w_msg = (np.column_stack((m.weight.data, e.weight.data,
+                                         m.bias.data + e.bias.data if has_bias else np.zeros(m.out_dim)))
+                        for m, e in ((self.w_key, self.w_edge_key), (self.w_msg, self.w_edge_msg)))
+        x = edge_inputs()
+        query = self.w_query.apply(p)
+        query_key = query @ w_key
+        per_edge = query_key[dst]
+        alpha = _segment_softmax(np.einsum("ij,ij->i", per_edge, x) * scale, layout)
+        mixed = layout.segment_sum(np.multiply(alpha, x, out=per_edge))
+        out = self.w_root.apply(p) + mixed @ w_msg.T
 
         def backward(g):
-            g_edge = g[dst]
-            d_message = alpha * g_edge
-            d_alpha = (g_edge * (msg[src] + self.w_edge_msg.apply(a))).sum(axis=1, keepdims=True)
-            d_logits = alpha * (d_alpha - segment_sum(alpha * d_alpha, dst, n)[dst]) * scale
-            d_edge_key = d_logits * query[dst]
-            d_query = segment_sum(d_logits * (key[src] + self.w_edge_key.apply(a)), dst, n)
-            d_key = segment_sum(d_edge_key, src, n)
-            d_msg = segment_sum(d_message, src, n)
-            d_nodes = d_feats = None
+            x = edge_inputs()
+            d_mixed = g @ w_msg
+            d_x = d_mixed[dst]
+            d_alpha = np.einsum("ij,ij->i", d_x, x)[:, None]
+            d_logits = alpha * (d_alpha - layout.segment_sum(alpha * d_alpha)[dst]) * scale
+            d_query_key = layout.segment_sum(np.multiply(d_logits, x, out=x))
+            d_x *= alpha
+            np.take(query_key, dst, axis=0, out=x, mode="clip")  # unbuffered; forward checked dst
+            d_x += np.multiply(d_logits, x, out=x)
+            d_query = d_query_key @ w_key.T
+            d_nodes = None
             if nodes.requires_grad:
-                d_nodes = (g @ self.w_root.weight.data + d_msg @ self.w_msg.weight.data
-                           + d_query @ self.w_query.weight.data + d_key @ self.w_key.weight.data)
-            if edge_feats.requires_grad:
-                d_feats = (d_edge_key @ self.w_edge_key.weight.data
-                           + d_message @ self.w_edge_msg.weight.data)
-            return (d_nodes, d_feats,
-                    *self.w_root.param_grads(g, p), *self.w_msg.param_grads(d_msg, p),
-                    *self.w_query.param_grads(d_query, p), *self.w_key.param_grads(d_key, p),
-                    *self.w_edge_key.param_grads(d_edge_key, a),
-                    *self.w_edge_msg.param_grads(d_message, a))
+                d_nodes = (g @ self.w_root.weight.data + d_query @ self.w_query.weight.data
+                           + layout.segment_sum(d_x, "src")[:, :n_in])
+            # columns of the side-by-side gradients: node map, edge map, shared bias
+            gk, gm, k = query.T @ d_query_key, g.T @ mixed, 1 + has_bias
+            return (d_nodes, d_x[:, n_in:-1] if edge_feats.requires_grad else None,
+                    *self.w_root.param_grads(g, p), *(gm[:, :n_in], gm[:, -1])[:k],
+                    *self.w_query.param_grads(d_query, p), *(gk[:, :n_in], gk[:, -1])[:k],
+                    *(gk[:, n_in:-1], gk[:, -1])[:k], *(gm[:, n_in:-1], gm[:, -1])[:k])
 
         return Tensor._make(out, (nodes, edge_feats, *_weights(self)), backward)
 

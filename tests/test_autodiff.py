@@ -40,6 +40,30 @@ def test_backward_accumulates_across_calls():
     assert x.grad is None
 
 
+def test_backward_writes_no_array_it_was_handed():
+    rng = np.random.default_rng(3)
+    x_data, w_data, seed_grad = (rng.normal(size=(3, 2)) for _ in range(3))
+    x = Tensor(x_data.copy(), requires_grad=True)
+    w = Tensor(w_data.copy(), requires_grad=True)
+    a = x * w          # three contributions: from out, from c and through b
+    b = a * 2.0
+    c = b + a          # hands the gradient it gets to both b and a, unchanged
+    handed = []
+    c_backward = c._backward
+    c._backward = lambda g: handed.append((g, g.copy())) or c_backward(g)
+    out = (c * 1.5 + a) + x    # the seed gradient reaches a and the leaf x as it is
+    out.backward(seed := seed_grad.copy())
+    assert np.array_equal(seed, seed_grad)
+    assert np.array_equal(x.data, x_data) and np.array_equal(w.data, w_data)
+    assert len(handed) == 1 and np.array_equal(*handed[0])
+    # d out / d a = 1 + 1.5 + 1.5 * 2
+    assert np.allclose(x.grad, seed_grad + 5.5 * seed_grad * w_data, rtol=1e-14)
+    assert np.allclose(w.grad, 5.5 * seed_grad * x_data, rtol=1e-14)
+    out.backward(seed)
+    assert np.array_equal(seed, seed_grad)
+    assert np.allclose(x.grad, 2 * (seed_grad + 5.5 * seed_grad * w_data), rtol=1e-14)
+
+
 def test_long_chain_no_recursion_error():
     x = Tensor(np.array(1.0), requires_grad=True)
     y = x

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -639,6 +640,22 @@ def test_windows_stay_inside_their_split(prepared, split):
         assert w.timestamps_future[-1] <= prepared.timestamps[hi - 1]
         w.validate()
     assert windows[0].edge_feats.base is windows[-1].edge_feats.base    # views of one array
+
+
+def test_graph_built_once_per_prepared_data(prepared, tmp_path, monkeypatch):
+    prepared.save(tmp_path / "cache.bin")
+    loaded = PreparedData.load(tmp_path / "cache.bin")
+    calls = []
+    build = hazecast.data.build_network
+    monkeypatch.setattr(hazecast.data, "build_network",
+                        lambda *args: calls.append(args) or build(*args))
+    loaded.windows("test", 4, 2)
+    loaded.windows("train", 4, 2)
+    network = loaded.network()
+    assert loaded.network() is network
+    assert len(calls) == 1
+    assert network.edges.tobytes() == prepared.network().edges.tobytes()
+    assert "_network" not in {f.name for f in dataclasses.fields(PreparedData)}
 
 
 def assert_bitwise_equal(a, b):

@@ -22,6 +22,7 @@ from hazecast.layers import (
 from hazecast.model import Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
+from reference import ref_transformer_conv
 
 
 def params_dict(layer):
@@ -169,6 +170,36 @@ class TestGraphLayout:
             return (layout.aggregate(per_edge) * probe).sum()
 
         assert_gradients_match(loss, {"per_edge": per_edge})
+
+    @pytest.mark.parametrize("n_edges", [80, 0])
+    @pytest.mark.parametrize("width", [1, 5, 41])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_cached_segment_sum_bit_identical_to_add_at(self, side, width, n_edges):
+        rng = np.random.default_rng(32)
+        layout = GraphLayout(rng.integers(0, 7, size=(n_edges, 2)), n_nodes=9)  # 7, 8 never hit
+        for _ in range(2):  # the first call builds the cells, the second reuses them
+            # long sums over mixed magnitudes make the summation order visible
+            values = rng.normal(size=(n_edges, width)) * 10.0 ** rng.integers(-4, 4, (n_edges, width))
+            expected = np.zeros((9, width))
+            np.add.at(expected, getattr(layout, side), values)
+            assert layout.segment_sum(values, side).tobytes() == expected.tobytes()
+        assert list(layout._cells[side]) == [width]
+
+    def test_cell_cache_stops_growing_after_first_call(self):
+        rng = np.random.default_rng(33)
+        conv = TransformerConv(rng, node_dim=3, out_dim=16, edge_dim=2)
+        layout = tiny_graph()
+        nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        feats = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        conv(nodes, layout, feats).sum().backward()
+        cells = {side: dict(by_width) for side, by_width in layout._cells.items()}
+        for _ in range(3):
+            conv(nodes, layout, feats).sum().backward()
+        for side, by_width in cells.items():  # the same arrays, none added
+            assert layout._cells[side].keys() == by_width.keys()
+            assert all(layout._cells[side][width] is by_width[width] for width in by_width)
+        # per-edge rows are [node input, edge input, 1], never the output width
+        assert cells["dst"].keys() | cells["src"].keys() == {1, 3 + 2 + 1}
 
     def test_memory_linear_in_edges(self):
         # ~9k edges on 1000 nodes: a dense (nodes x edges) sink would be 72 MB
@@ -342,10 +373,19 @@ class TestTransformerConv:
     def test_gradients_over_layouts(self, edges, bias):
         rng = np.random.default_rng(12 + len(edges))
         conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2, key_dim=3, bias=bias)
+        for _, t in conv.params():  # biases start at zero; their terms need testing too
+            t.data[...] = rng.normal(size=t.shape)
         layout = GraphLayout(np.array(edges, dtype=np.int64).reshape(-1, 2), n_nodes=4)
         nodes = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         feats = Tensor(rng.normal(size=(len(edges), 2)), requires_grad=True)
         probe = rng.normal(size=(4, 2))
+
+        out = conv(nodes, layout, feats).data
+        weights = {name: t.data for name, t in conv.params()}
+        expected = ref_transformer_conv(weights, conv.name, conv.key_dim, nodes.data, edges, feats.data)
+        assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
+        isolated = layout.in_degree == 0
+        assert np.array_equal(out[isolated], conv.w_root.apply(nodes.data)[isolated])
 
         def loss():
             return (conv(nodes, layout, feats) * probe).sum()

@@ -163,6 +163,15 @@ class TestForward:
         expected = ref_forward(model, sample)
         assert np.allclose(preds, expected, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru"])
+    def test_predict_bit_identical_to_taped_forward(self, variant):
+        net = toy_network(n=4, seed=5)
+        model = Forecaster(config(variant, net), net, seed=6)
+        sample = toy_sample(net, seed=7)
+        preds = model.predict(sample)
+        assert preds.tobytes() == model.forward(sample).data.tobytes()
+        assert model.predict(sample).tobytes() == preds.tobytes()
+
     def test_forecast_period_inputs_never_read(self):
         net = toy_network()
         model = Forecaster(config("agnn_gru", net), net, seed=8)
