@@ -6,16 +6,15 @@ analytic gradients into every reachable tensor that requires them.  Gradients
 accumulate across multiple backward calls (sum over a batch); reset leaves
 with :func:`zero_grads` between optimizer steps.
 
-Only the primitives the forecasting layers need are implemented: elementwise
-arithmetic with broadcasting, 2-D matmul, the fused affine map
-:func:`linear` (``x @ W.T + b`` as one node), sigmoid/tanh/exp, reductions,
-concatenation/stacking, row gathering, the segment sum of rows by index
-(:meth:`Tensor.scatter_rows`, the adjoint of gathering) and reshaping.
-Both row primitives sum through :func:`segment_sum`, which costs time and
-memory linear in the number of rows summed.  Everything runs single-threaded
-over numpy (see :func:`single_threaded_blas`), so identical inputs give
-bit-identical results.  ``backward`` adds gradients in place, but only into
-arrays it allocated itself.
+Only the primitives the forecasting layers and their losses need are
+implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, the fused
+affine map :func:`linear` (``x @ W.T + b`` as one node), tanh, the sum and
+mean of all entries, concatenation/stacking, row gathering and reshaping.
+Row gathering sums its gradient through :func:`segment_sum`, which costs time
+and memory linear in the number of rows summed.  Everything runs
+single-threaded over numpy (see :func:`single_threaded_blas`), so identical
+inputs give bit-identical results.  ``backward`` adds gradients in place, but
+only into arrays it allocated itself.
 
 A layer can also record one fused node through :meth:`Tensor._make`, with
 every weight as a parent and a hand-derived backward; what such a node keeps
@@ -178,10 +177,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         """The value of a size-1 tensor of any shape, as a Python float."""
         return float(self.data.item())
@@ -200,16 +195,11 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Tensor._make(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return self._wrap(other) + (-self)
 
     def __mul__(self, other):
         other = self._wrap(other)
@@ -220,63 +210,19 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            ga = _unbroadcast(g / other.data, self.shape)
-            gb = _unbroadcast(-g * self.data / (other.data ** 2), other.shape)
-            return ga, gb
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
-    def __matmul__(self, other):
-        other = self._wrap(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError("matmul supports 2-D operands only")
-        out_data = self.data @ other.data
-
-        def backward(g):
-            return g @ other.data.T, self.data.T @ g
-
-        return Tensor._make(out_data, (self, other), backward)
-
     # -- elementwise nonlinearities -----------------------------------------
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Tensor._make(out_data, (self,), lambda g: (g * out_data,))
 
     def tanh(self):
         out_data = np.tanh(self.data)
         return Tensor._make(out_data, (self,), lambda g: (g * (1.0 - out_data ** 2),))
 
-    def sigmoid(self):
-        out_data = sigmoid(self.data)
-        return Tensor._make(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
-
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self):
+        return Tensor._make(self.data.sum(), (self,), lambda g: (np.full(self.shape, g),))
 
-        def backward(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape).copy(),)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else int(np.prod(np.take(self.data.shape, axis)))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     # -- shape manipulation ---------------------------------------------------
 
@@ -292,12 +238,6 @@ class Tensor:
         n_rows = self.data.shape[0]
         return Tensor._make(self.data[index], (self,),
                             lambda g: (segment_sum(g, index, n_rows),))
-
-    def scatter_rows(self, index: np.ndarray, n_rows: int):
-        """Sum row ``k`` into output row ``index[k]`` of ``n_rows``; the adjoint of gather_rows."""
-        index = np.asarray(index, dtype=np.int64)
-        return Tensor._make(segment_sum(self.data, index, n_rows), (self,),
-                            lambda g: (g[index],))
 
     # -- graph traversal --------------------------------------------------------
 
@@ -355,7 +295,6 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is not None and parent.requires_grad:
                     accumulate(parent, pg)
-        # interior tensors with explicitly requested grads are not retained
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -614,8 +614,7 @@ class PreparedData:
         )
 
 
-def prepare_corpus(manifest: Manifest, threshold_km: float,
-                   mice_iterations: int = 5) -> tuple[PreparedData, dict]:
+def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedData, dict]:
     """Run the full preparation pipeline; returns the cache and a data report."""
     panel, stations = load_corpus(manifest)
     report = {
@@ -628,7 +627,7 @@ def prepare_corpus(manifest: Manifest, threshold_km: float,
         },
     }
 
-    complete = impute_chained(panel, iterations=mice_iterations)
+    complete = impute_chained(panel)
     splits = split_temporal(complete.timestamps, manifest.splits)
     for name in SPLIT_NAMES:
         lo, hi = splits[name]

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Library code should pick the most specific class that applies instead of
-raising bare exceptions; each class names a distinct process exit code.
+raising bare exceptions.  Each class names the process exit code for its
+failures: 1 for a bad invocation (``UsageError``, and the base class), 2 for
+bad data and 3 for a numeric failure.
 """
 
 

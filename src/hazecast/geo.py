@@ -61,9 +61,6 @@ class StationNetwork:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def station_ids(self) -> list[str]:
-        return [s.id for s in self.stations]
-
     def coordinates(self) -> np.ndarray:
         """(L, 2) array of (latitude, longitude)."""
         return np.array([[s.latitude, s.longitude] for s in self.stations], dtype=float)
@@ -242,14 +239,3 @@ def read_stations_csv(path) -> list[Station]:
     if not stations:
         raise DataError(f"{path}: no stations found")
     return stations
-
-
-def write_edge_list(network: StationNetwork, path) -> None:
-    """Export edges as ``src,dst,distance_km,bearing_deg`` for inspection."""
-    ids = network.station_ids()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "distance_km", "bearing_deg"])
-        for k in range(network.n_edges):
-            i, j = network.edges[k]
-            writer.writerow([ids[i], ids[j], f"{network.distance_km[k]:.6f}", f"{network.bearing_deg[k]:.6f}"])

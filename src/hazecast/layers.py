@@ -10,10 +10,11 @@ keeps only small arrays (each class says which) and recomputes the rest, so
 the tape holds no (E, width) or (history, nodes, width) array between forward
 and backward.  The graph layer applies its maps on the node side of the edge
 sums, so its per-edge arrays are as wide as its inputs, not its output.
-Weight matrices are drawn uniformly from ±sqrt(1/fan_in); biases (optional
-everywhere, on by default) start at zero.  Softmaxes subtract a constant
-per-group maximum before exponentiating, which changes neither values nor
-gradients but avoids overflow on large logits.
+Weight matrices are drawn uniformly from ±sqrt(1/fan_in) and biases start
+at zero.  Every map has a bias except those whose bias a softmax would
+cancel: the graph layer's two key maps and the attention score.  Softmaxes
+subtract a constant per-group maximum before exponentiating, which changes
+neither values nor gradients but avoids overflow on large logits.
 """
 
 from __future__ import annotations
@@ -87,14 +88,14 @@ class GruCell:
     [h, x] and the update, reset and candidate gates, each (rows, hidden).
     """
 
-    def __init__(self, rng, input_dim: int, hidden_dim: int, bias: bool = True, name: str = "gru"):
+    def __init__(self, rng, input_dim: int, hidden_dim: int, name: str = "gru"):
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         joint = hidden_dim + input_dim
-        self.w_update = Linear(rng, joint, hidden_dim, bias=bias, name=f"{name}.update")
-        self.w_reset = Linear(rng, joint, hidden_dim, bias=bias, name=f"{name}.reset")
-        self.w_cand = Linear(rng, joint, hidden_dim, bias=bias, name=f"{name}.candidate")
+        self.w_update = Linear(rng, joint, hidden_dim, name=f"{name}.update")
+        self.w_reset = Linear(rng, joint, hidden_dim, name=f"{name}.reset")
+        self.w_cand = Linear(rng, joint, hidden_dim, name=f"{name}.candidate")
 
     def step(self, h_prev: Tensor, x: Tensor) -> Tensor:
         if h_prev.shape[-1] != self.hidden_dim or x.shape[-1] != self.input_dim:
@@ -171,32 +172,31 @@ class TransformerConv:
 
     For sink node i with in-neighbors j: out_i = root(P_i) +
     sum_j softmax_j(query(P_i) . (key(P_j) + edge_key(E_ji)) / sqrt(d)) *
-    (msg(P_j) + edge_msg(E_ji)), where d is the key dimension.  Nodes with no
-    in-edges reduce to the root map alone.
+    (msg(P_j) + edge_msg(E_ji)), where d is out_dim.  Nodes with no in-edges
+    reduce to the root map alone.  The two key maps have no bias: a key bias
+    b adds query(P_i) . b to every logit of sink i alike, and the softmax
+    cancels it.
 
     No map runs per edge.  With edge rows x = [P_j, E_ji, 1] and the maps set
-    side by side, K = [W_key, W_edge_key, b_key + b_edge_key] and M likewise,
-    the logit is (query(P_i) K) . x / sqrt(d) and the message sum is
-    (sum_j alpha_ji x) M^T, so per-edge arrays are node_dim + edge_dim + 1
-    wide, not out_dim.  A call is one tape node; it keeps query(P), query(P) K
-    and the alpha-weighted sums of x, each (nodes, width), and the (E, 1)
-    weights, and backward gathers x again.  The key biases shift all logits
-    of a sink alike, so their gradients are zero up to rounding.
+    side by side, K = [W_key, W_edge_key, 0] and M = [W_msg, W_edge_msg,
+    b_msg + b_edge_msg], the logit is (query(P_i) K) . x / sqrt(d) and the
+    message sum is (sum_j alpha_ji x) M^T, so per-edge arrays are
+    node_dim + edge_dim + 1 wide, not out_dim.  A call is one tape node; it
+    keeps query(P), query(P) K and the alpha-weighted sums of x, each
+    (nodes, width), and the (E, 1) weights, and backward gathers x again.
     """
 
-    def __init__(self, rng, node_dim: int, out_dim: int, edge_dim: int,
-                 key_dim: int | None = None, bias: bool = True, name: str = "conv"):
+    def __init__(self, rng, node_dim: int, out_dim: int, edge_dim: int, name: str = "conv"):
         self.name = name
         self.node_dim = node_dim
         self.out_dim = out_dim
         self.edge_dim = edge_dim
-        self.key_dim = key_dim if key_dim is not None else out_dim
-        self.w_root = Linear(rng, node_dim, out_dim, bias=bias, name=f"{name}.root")
-        self.w_msg = Linear(rng, node_dim, out_dim, bias=bias, name=f"{name}.msg")
-        self.w_query = Linear(rng, node_dim, self.key_dim, bias=bias, name=f"{name}.query")
-        self.w_key = Linear(rng, node_dim, self.key_dim, bias=bias, name=f"{name}.key")
-        self.w_edge_key = Linear(rng, edge_dim, self.key_dim, bias=bias, name=f"{name}.edge_key")
-        self.w_edge_msg = Linear(rng, edge_dim, out_dim, bias=bias, name=f"{name}.edge_msg")
+        self.w_root = Linear(rng, node_dim, out_dim, name=f"{name}.root")
+        self.w_msg = Linear(rng, node_dim, out_dim, name=f"{name}.msg")
+        self.w_query = Linear(rng, node_dim, out_dim, name=f"{name}.query")
+        self.w_key = Linear(rng, node_dim, out_dim, bias=False, name=f"{name}.key")
+        self.w_edge_key = Linear(rng, edge_dim, out_dim, bias=False, name=f"{name}.edge_key")
+        self.w_edge_msg = Linear(rng, edge_dim, out_dim, name=f"{name}.edge_msg")
 
     def __call__(self, nodes: Tensor, layout: GraphLayout, edge_feats: Tensor) -> Tensor:
         _check_finite(f"{self.name} node input", nodes.data)
@@ -207,8 +207,8 @@ class TransformerConv:
             )
         _check_finite(f"{self.name} edge input", edge_feats.data)
         p, a = nodes.data, edge_feats.data
-        src, dst, n_in, has_bias = layout.src, layout.dst, self.node_dim, self.w_key.bias is not None
-        scale = 1.0 / math.sqrt(self.key_dim)
+        src, dst, n_in = layout.src, layout.dst, self.node_dim
+        scale = 1.0 / math.sqrt(self.out_dim)
 
         def edge_inputs() -> np.ndarray:
             x = np.column_stack((p, np.zeros((len(p), self.edge_dim)), np.ones(len(p))))[src]
@@ -217,9 +217,10 @@ class TransformerConv:
 
         # Each (E, width) buffer is reused in place once its values are spent:
         # fresh arrays of that size cost more in page faults than in arithmetic.
-        w_key, w_msg = (np.column_stack((m.weight.data, e.weight.data,
-                                         m.bias.data + e.bias.data if has_bias else np.zeros(m.out_dim)))
-                        for m, e in ((self.w_key, self.w_edge_key), (self.w_msg, self.w_edge_msg)))
+        w_key = np.column_stack((self.w_key.weight.data, self.w_edge_key.weight.data,
+                                 np.zeros(self.out_dim)))
+        w_msg = np.column_stack((self.w_msg.weight.data, self.w_edge_msg.weight.data,
+                                 self.w_msg.bias.data + self.w_edge_msg.bias.data))
         x = edge_inputs()
         query = self.w_query.apply(p)
         query_key = query @ w_key
@@ -244,11 +245,12 @@ class TransformerConv:
                 d_nodes = (g @ self.w_root.weight.data + d_query @ self.w_query.weight.data
                            + layout.segment_sum(d_x, "src")[:, :n_in])
             # columns of the side-by-side gradients: node map, edge map, shared bias
-            gk, gm, k = query.T @ d_query_key, g.T @ mixed, 1 + has_bias
+            # (K's last column is a constant zero, so its gradient goes unused)
+            gk, gm = query.T @ d_query_key, g.T @ mixed
             return (d_nodes, d_x[:, n_in:-1] if edge_feats.requires_grad else None,
-                    *self.w_root.param_grads(g, p), *(gm[:, :n_in], gm[:, -1])[:k],
-                    *self.w_query.param_grads(d_query, p), *(gk[:, :n_in], gk[:, -1])[:k],
-                    *(gk[:, n_in:-1], gk[:, -1])[:k], *(gm[:, n_in:-1], gm[:, -1])[:k])
+                    *self.w_root.param_grads(g, p), gm[:, :n_in], gm[:, -1],
+                    *self.w_query.param_grads(d_query, p), gk[:, :n_in], gk[:, n_in:-1],
+                    gm[:, n_in:-1], gm[:, -1])
 
         return Tensor._make(out, (nodes, edge_feats, *_weights(self)), backward)
 
@@ -266,20 +268,17 @@ class ScalarGraphConv:
     layer, d_min/d_ij for the inverse-distance layer.
     """
 
-    def __init__(self, rng, node_dim: int, out_dim: int, bias: bool = True, name: str = "conv"):
+    def __init__(self, rng, node_dim: int, out_dim: int, name: str = "conv"):
         self.name = name
         self.node_dim = node_dim
         self.out_dim = out_dim
-        self.w_root = Linear(rng, node_dim, out_dim, bias=bias, name=f"{name}.root")
-        self.w_msg = Linear(rng, node_dim, out_dim, bias=bias, name=f"{name}.msg")
+        self.w_root = Linear(rng, node_dim, out_dim, name=f"{name}.root")
+        self.w_msg = Linear(rng, node_dim, out_dim, name=f"{name}.msg")
 
     def __call__(self, nodes: Tensor, layout: GraphLayout, edge_coef: np.ndarray) -> Tensor:
         _check_finite(f"{self.name} node input", nodes.data)
-        root = self.w_root(nodes)
-        if layout.n_edges == 0:
-            return root
         weighted = self.w_msg(nodes).gather_rows(layout.src) * edge_coef.reshape(-1, 1)
-        return root + layout.aggregate(weighted)
+        return self.w_root(nodes) + layout.aggregate(weighted)
 
     def params(self):
         yield from self.w_root.params()
@@ -312,11 +311,11 @@ class LuongAttention:
     the joint [context, dec] and the output, each (L, width).
     """
 
-    def __init__(self, rng, hidden_dim: int, bias: bool = True, name: str = "attention"):
+    def __init__(self, rng, hidden_dim: int, name: str = "attention"):
         self.name = name
         self.hidden_dim = hidden_dim
         self.w_score = Linear(rng, hidden_dim, hidden_dim, bias=False, name=f"{name}.score")
-        self.w_out = Linear(rng, 2 * hidden_dim, hidden_dim, bias=bias, name=f"{name}.out")
+        self.w_out = Linear(rng, 2 * hidden_dim, hidden_dim, name=f"{name}.out")
 
     def __call__(self, history: Tensor, decoder_state: Tensor) -> Tensor:
         if history.shape[0] == 0:
@@ -361,14 +360,14 @@ class SpaceTimeEmbedding:
     its backward adds each block's column sums into that table's row.
     """
 
-    def __init__(self, rng, embed_dim: int = 8, bias: bool = True, name: str = "embed"):
+    def __init__(self, rng, embed_dim: int = 8, name: str = "embed"):
         self.name = name
         self.embed_dim = embed_dim
         bound = math.sqrt(1.0 / embed_dim)
         self.hour_table = Tensor(rng.uniform(-bound, bound, size=(24, embed_dim)), requires_grad=True)
         self.dow_table = Tensor(rng.uniform(-bound, bound, size=(7, embed_dim)), requires_grad=True)
         self.month_table = Tensor(rng.uniform(-bound, bound, size=(12, embed_dim)), requires_grad=True)
-        self.location = Linear(rng, 2, embed_dim, bias=bias, name=f"{name}.location")
+        self.location = Linear(rng, 2, embed_dim, name=f"{name}.location")
 
     @property
     def out_dim(self) -> int:
@@ -400,10 +399,6 @@ class SpaceTimeEmbedding:
 
         return Tensor._make(out, _weights(self), backward)
 
-    def embed_one(self, latitude: float, longitude: float, hour: int, dow: int, month: int) -> np.ndarray:
-        """Embedding vector for a single (location, timestamp) pair."""
-        return self(hour, dow, month, np.array([[latitude, longitude]])).data[0]
-
     def params(self):
         yield f"{self.name}.hour", self.hour_table
         yield f"{self.name}.dow", self.dow_table
@@ -414,11 +409,11 @@ class SpaceTimeEmbedding:
 class Mlp:
     """Two-layer perceptron head: affine, tanh, affine to one output per row."""
 
-    def __init__(self, rng, in_dim: int, hidden_dim: int, bias: bool = True, name: str = "mlp"):
+    def __init__(self, rng, in_dim: int, hidden_dim: int, name: str = "mlp"):
         self.name = name
         self.in_dim = in_dim
-        self.hidden = Linear(rng, in_dim, hidden_dim, bias=bias, name=f"{name}.hidden")
-        self.out = Linear(rng, hidden_dim, 1, bias=bias, name=f"{name}.out")
+        self.hidden = Linear(rng, in_dim, hidden_dim, name=f"{name}.hidden")
+        self.out = Linear(rng, hidden_dim, 1, name=f"{name}.out")
 
     def __call__(self, x: Tensor) -> Tensor:
         _check_finite(f"{self.name} input", x.data)

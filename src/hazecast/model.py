@@ -44,7 +44,7 @@ from .layers import (
     TransformerConv,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: variant name -> (use_attention, graph_mode)
 VARIANTS = {

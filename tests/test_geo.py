@@ -17,7 +17,6 @@ from hazecast.geo import (
     initial_bearing_deg,
     read_stations_csv,
     wind_speed_direction,
-    write_edge_list,
 )
 
 # Frozen oracle values, computed with the spherical law of cosines and a
@@ -364,12 +363,3 @@ class TestStationIO:
             Station("x", 95.0, 0.0)
         with pytest.raises(DataError):
             Station("x", 0.0, 190.0)
-
-    def test_edge_list_export(self, tmp_path):
-        rng = np.random.default_rng(2)
-        net = build_network(random_stations(4, rng), threshold_km=12.0)
-        out = tmp_path / "edges.csv"
-        write_edge_list(net, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "src,dst,distance_km,bearing_deg"
-        assert len(lines) == net.n_edges + 1

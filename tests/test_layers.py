@@ -114,20 +114,6 @@ class TestGruCell:
         tensors["h_prev"], tensors["x"] = h_prev, x
         assert_gradients_match(loss, tensors)
 
-    def test_gradients_without_bias(self):
-        rng = np.random.default_rng(18)
-        cell = GruCell(rng, input_dim=2, hidden_dim=3, bias=False)
-        h_prev = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        probe = rng.normal(size=(3, 3))
-
-        def loss():
-            return (cell.step(h_prev, x) * probe).sum()
-
-        tensors = params_dict(cell)
-        tensors["h_prev"], tensors["x"] = h_prev, x
-        assert_gradients_match(loss, tensors)
-
     def test_gradients_with_constant_inputs(self):
         rng = np.random.default_rng(19)
         cell = GruCell(rng, input_dim=2, hidden_dim=3)
@@ -252,7 +238,7 @@ def dense_conv_oracle(conv, nodes, edges, edge_feats):
             src = edges[k][0]
             q = lin("query", nodes[i])
             key = lin("key", nodes[src]) + lin("edge_key", edge_feats[k])
-            logits.append(float(q @ key) / math.sqrt(conv.key_dim))
+            logits.append(float(q @ key) / math.sqrt(conv.out_dim))
         m = max(logits)
         weights = [math.exp(v - m) for v in logits]
         total = sum(weights)
@@ -298,7 +284,7 @@ class TestTransformerConv:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_oracle(self, seed):
         rng = np.random.default_rng(100 + seed)
-        conv = TransformerConv(rng, node_dim=4, out_dim=3, edge_dim=2, key_dim=3)
+        conv = TransformerConv(rng, node_dim=4, out_dim=3, edge_dim=2)
         n = 3
         edges = np.array([[0, 1], [2, 1], [1, 0], [0, 2], [1, 2]])
         layout = GraphLayout(edges, n_nodes=n)
@@ -350,7 +336,7 @@ class TestTransformerConv:
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
-        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2, key_dim=2)
+        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
         layout = tiny_graph()
         nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         feats = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -363,16 +349,16 @@ class TestTransformerConv:
         tensors["nodes"], tensors["edge_feats"] = nodes, feats
         assert_gradients_match(loss, tensors)
 
-    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("oracle_key_biases", [True, False])
     @pytest.mark.parametrize("edges", [
         [[0, 2], [1, 2], [2, 0]],            # node 1 is a sink with no in-edges
         [],                                  # no edges at all: the root map
         [[0, 1]],                            # a single in-neighbour
         [[1, 0], [2, 0], [3, 0], [0, 2]],    # three in-neighbours of one sink
     ])
-    def test_gradients_over_layouts(self, edges, bias):
+    def test_gradients_over_layouts(self, edges, oracle_key_biases):
         rng = np.random.default_rng(12 + len(edges))
-        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2, key_dim=3, bias=bias)
+        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
         for _, t in conv.params():  # biases start at zero; their terms need testing too
             t.data[...] = rng.normal(size=t.shape)
         layout = GraphLayout(np.array(edges, dtype=np.int64).reshape(-1, 2), n_nodes=4)
@@ -382,7 +368,10 @@ class TestTransformerConv:
 
         out = conv(nodes, layout, feats).data
         weights = {name: t.data for name, t in conv.params()}
-        expected = ref_transformer_conv(weights, conv.name, conv.key_dim, nodes.data, edges, feats.data)
+        if oracle_key_biases:  # the softmax cancels them, so the conv has none
+            for tag in ("key", "edge_key"):
+                weights[f"{conv.name}.{tag}.bias"] = rng.normal(scale=3.0, size=conv.out_dim)
+        expected = ref_transformer_conv(weights, conv.name, conv.out_dim, nodes.data, edges, feats.data)
         assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
         isolated = layout.in_degree == 0
         assert np.array_equal(out[isolated], conv.w_root.apply(nodes.data)[isolated])
@@ -391,7 +380,6 @@ class TestTransformerConv:
             return (conv(nodes, layout, feats) * probe).sum()
 
         tensors = params_dict(conv)
-        assert any(name.endswith("bias") for name in tensors) == bias
         tensors["nodes"], tensors["edge_feats"] = nodes, feats
         assert_gradients_match(loss, tensors)
 
@@ -440,6 +428,15 @@ class TestScalarGraphConv:
                     expect = expect + coef[k] * (
                         w[f"{conv.name}.msg.weight"] @ nodes[src] + w[f"{conv.name}.msg.bias"])
             assert np.allclose(out[i], expect, rtol=1e-12)
+
+    def test_empty_edge_set_is_root_map(self):
+        rng = np.random.default_rng(14)
+        conv = ScalarGraphConv(rng, node_dim=3, out_dim=2)
+        nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        out = conv(nodes, GraphLayout(np.zeros((0, 2)), n_nodes=3), np.zeros(0))
+        assert np.array_equal(out.data, conv.w_root.apply(nodes.data))
+        out.sum().backward()
+        assert np.all(conv.w_msg.weight.grad == 0.0) and np.all(conv.w_msg.bias.grad == 0.0)
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
@@ -539,21 +536,6 @@ class TestLuongAttention:
         tensors["history"], tensors["dec"] = history, dec
         assert_gradients_match(loss, tensors)
 
-    def test_gradients_without_output_bias(self):
-        rng = np.random.default_rng(17)
-        attn = LuongAttention(rng, hidden_dim=3, bias=False)
-        history = Tensor(rng.normal(size=(4, 2, 3)))
-        dec = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        probe = rng.normal(size=(2, 3))
-
-        def loss():
-            return (attn(history, dec) * probe).sum()
-
-        tensors = params_dict(attn)
-        assert "attention.out.bias" not in tensors
-        tensors["dec"] = dec
-        assert_gradients_match(loss, tensors)
-
     def test_tape_size_independent_of_history_length(self):
         rng = np.random.default_rng(15)
         attn = LuongAttention(rng, hidden_dim=3)
@@ -611,7 +593,7 @@ class TestSpaceTimeEmbedding:
         rng = np.random.default_rng(21)
         emb = SpaceTimeEmbedding(rng, embed_dim=4)
         lat, lon = 25.3, 84.9
-        vec = emb.embed_one(lat, lon, hour=17, dow=4, month=11)
+        vec = emb(17, 4, 11, np.array([[lat, lon]])).data[0]
         expected = np.concatenate([
             emb.hour_table.data[17],
             emb.dow_table.data[4],
@@ -647,7 +629,7 @@ class TestSpaceTimeEmbedding:
 
     def test_gradients_accumulate_into_repeated_rows(self):
         rng = np.random.default_rng(23)
-        emb = SpaceTimeEmbedding(rng, embed_dim=3, bias=False)
+        emb = SpaceTimeEmbedding(rng, embed_dim=3)
         coords = np.array([[25.5, 85.2], [24.8, 85.0], [25.1, 84.7]])
         probes = rng.normal(size=(2, 3, 12))
 
@@ -715,13 +697,6 @@ class TestMlp:
         tensors = params_dict(mlp)
         tensors["x"] = x
         assert_gradients_match(loss, tensors)
-
-
-def test_bias_flag_removes_biases():
-    rng = np.random.default_rng(0)
-    cell = GruCell(rng, input_dim=2, hidden_dim=2, bias=False)
-    names = [name for name, _ in cell.params()]
-    assert all("bias" not in n for n in names)
 
 
 def test_seeded_construction_is_bit_identical():

@@ -83,7 +83,7 @@ class TestBuildVariant:
         g = 16
         expected = 0
         expected += (24 + 7 + 12) * e + e * 2 + e                      # embed tables + location
-        expected += 4 * (g * p + g) + (g * 5 + g) + (g * 5 + g)        # conv: root/msg/query/key + edge maps
+        expected += 3 * (g * p + g) + g * p + g * 5 + (g * 5 + g)      # conv: root/msg/query, key, edge maps
         enc_in = p + g
         expected += 3 * (16 * (16 + enc_in) + 16)                      # encoder gru
         expected += (16 * 16 + 16) + (1 * 16 + 1)                      # encoder head
@@ -316,6 +316,10 @@ class TestCheckpoint:
     def test_version_1_checkpoint_rejected(self, tmp_path):
         with pytest.raises(DataError, match="version 1"):
             Forecaster.load(self.write(tmp_path / "m.bin", version=1, edge_dim=5, use_bias=True, gnn_out=5))
+
+    def test_version_2_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="version 2"):
+            Forecaster.load(self.write(tmp_path / "m.bin", version=2))
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         from hazecast.container import save_arrays
