@@ -30,10 +30,10 @@ from .autodiff import single_threaded_blas
 from .container import load_arrays, save_arrays
 from .errors import DataError, UsageError
 from .geo import (
-    EDGE_FEATURES,
     Station,
     StationNetwork,
     build_network,
+    edge_attribute_stats,
     edge_attributes_at,
     read_stations_csv,
 )
@@ -228,24 +228,24 @@ def _parse_rows(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_corpus(manifest: Manifest, stations: list[Station] | None = None) -> tuple[RawPanel, list[Station]]:
-    """Load every station series named by the manifest into one panel."""
+    """Load every station series named by the manifest into one panel, allocated once T is known."""
     if stations is None:
         stations = read_stations_csv(manifest.stations_path)
-    ref_ts = None
-    values = []
-    for st in stations:
+    ref_ts = values = None
+    for k, st in enumerate(stations):
         path = manifest.series_dir / f"{st.id}.csv"
         if not path.exists():
             raise DataError(f"missing series file for station {st.id!r}: {path}")
         ts, vals = _load_series(path)
         if ref_ts is None:
             ref_ts = ts
+            values = np.empty((len(ts), len(stations), len(FEATURES)))
         elif ts.shape != ref_ts.shape or np.any(ts != ref_ts):
             raise DataError(f"{path}: timestamps differ from station {stations[0].id!r}")
-        values.append(vals)
+        values[:, k] = vals
     panel = RawPanel(
         timestamps=ref_ts,
-        values=np.stack(values, axis=1),
+        values=values,
         station_ids=[s.id for s in stations],
         features=FEATURES,
         cadence_hours=manifest.cadence_hours,
@@ -312,10 +312,15 @@ def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
     gaps are untouched.  All stations are fitted at once: each keeps the Gram
     matrix of ``[1, features]``, features centred and scaled by their observed
     mean and std; feature c's normal equations are that Gram less the rows
-    missing in c, and re-predicting c changes only its row and column.  Fills
-    agree with a per-station ``lstsq`` loop to 1e-8 of each feature's std
-    (about 1e-11 on the benchmark corpora); as normal equations, the error
-    grows with the square of a design's condition number.  BLAS runs on one thread.
+    missing in c, and re-predicting c changes only its row and column.  The
+    missing rows are gathered per group of stations: for feature c, the
+    stations whose gap count in c rounds up to the same power of two form a
+    group, and each group's gather is padded to that width with a zero row,
+    so no station carries more than twice its own gaps.  One batched solve
+    per (feature, sweep) then serves every station.  Fills agree with a
+    per-station ``lstsq`` loop to 1e-8 of each feature's std (about 1e-11 on
+    the benchmark corpora); as normal equations, the error grows with the
+    square of a design's condition number.  BLAS runs on one thread.
     """
     if iterations < 1:
         raise UsageError("imputation needs at least one iteration")
@@ -339,26 +344,56 @@ def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
     z[~observed] = 0.0
     scale = np.where(constant, 1.0, np.sqrt(np.einsum("stc,stc->sc", z, z) / n_obs))
     z /= scale[:, None]
-    # Per feature, each station's missing rows in order, padded with the zero row.
-    missing_rows = [np.sort(np.where(observed[:, :, c], n_steps, np.arange(n_steps)), axis=1)
-                    [:, :n_steps - n_obs[:, c].min(initial=n_steps)].copy() for c in range(n_feat)]
+    groups = [_gap_groups(observed, c, gappy, panel.n_stations) for c in range(n_feat)]
+    design_rows, design_cells, panel_cells = design.reshape(-1, n_feat + 1), design.ravel(), values.ravel()
     gram = design.transpose(0, 2, 1) @ design
     for _ in range(iterations):
-        for c, pad in enumerate(missing_rows):
-            rows = design[np.arange(n_st)[:, None], pad]
-            coef = _least_norm_coef(gram - rows.transpose(0, 2, 1) @ rows, c, centre, scale)
-            pred = np.where(constant[:, c, None], low[:, c, None], (rows @ coef[:, :, None])[..., 0])
-            change = np.where(pad < n_steps, (pred - centre[:, c, None]) / scale[:, c, None]
-                              - rows[..., c + 1], 0.0)
-            cross = (rows.transpose(0, 2, 1) @ change[:, :, None])[..., 0]
-            gram[:, c + 1] += cross
-            gram[:, :, c + 1] += cross
-            gram[:, c + 1, c + 1] += (change * change).sum(axis=1)
-            st, at = np.nonzero(pad < n_steps)
-            design[st, pad[st, at], c + 1] += change[st, at]
-            values[pad[st, at], gappy[st], c] = pred[st, at]
+        for c, feature_groups in enumerate(groups):
+            reduced = gram.copy()
+            gathered = []
+            for at, gather, *_ in feature_groups:
+                rows = np.take(design_rows, gather, axis=0)
+                reduced[at] -= rows.transpose(0, 2, 1) @ rows
+                gathered.append(rows)
+            coef = _least_norm_coef(reduced, c, centre, scale)
+            for (at, _, real, in_design, in_panel), rows in zip(feature_groups, gathered):
+                pred = np.where(constant[at, c, None], low[at, c, None], (rows @ coef[at, :, None])[..., 0])
+                change = np.where(real, (pred - centre[at, c, None]) / scale[at, c, None]
+                                  - rows[..., c + 1], 0.0)
+                cross = (rows.transpose(0, 2, 1) @ change[:, :, None])[..., 0]
+                gram[at, c + 1] += cross
+                gram[at, :, c + 1] += cross
+                gram[at, c + 1, c + 1] += (change * change).sum(axis=1)
+                design_cells[in_design] += change[real]
+                panel_cells[in_panel] = pred[real]
     out = replace(panel, values=values)
     out.validate()
+    return out
+
+
+def _gap_groups(observed: np.ndarray, c: int, gappy: np.ndarray, n_stations: int) -> list[tuple]:
+    """Stations with gaps in feature ``c``, grouped by gap count rounded up to a power of two.
+
+    ``observed`` is the (S, T, C) mask of the design, whose stations are
+    ``gappy`` of the panel's ``n_stations``.  A group is ``(stations, gather,
+    real, in_design, in_panel)``: ``gather`` holds, per station, the flat
+    design rows of its missing rows, padded with its zero row T to the
+    group's width, and ``real`` marks the missing ones; ``in_design`` and
+    ``in_panel`` are their flat cells of feature ``c``, in ``gather``'s order.
+    """
+    _, n_steps, n_feat = observed.shape
+    gaps = n_steps - observed[:, :, c].sum(axis=1)
+    width = np.where(gaps > 0, 1 << np.frexp(np.maximum(gaps - 1, 0))[1], 0)
+    missing = np.sort(np.where(observed[:, :, c], n_steps, np.arange(n_steps)), axis=1)
+    out = []
+    for w in np.unique(width[width > 0]):
+        at = np.flatnonzero(width == w)
+        pad = missing[at, :w]
+        real = pad < n_steps
+        gather = at[:, None] * (n_steps + 1) + pad
+        station = gappy[np.repeat(at, real.sum(axis=1))]
+        out.append((at, gather, real, gather[real] * (n_feat + 1) + c + 1,
+                    (pad[real] * n_stations + station) * n_feat + c))
     return out
 
 
@@ -644,14 +679,7 @@ def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedDat
 
     wind = complete.values[:, :, [complete.features.index("u10"), complete.features.index("v10")]]
     lo, hi = splits["train"]
-    edge_train = edge_attributes_at(network, wind[lo:hi]).reshape(-1, len(EDGE_FEATURES))
-    if edge_train.shape[0]:
-        edge_mean = edge_train.mean(axis=0)
-        edge_std = edge_train.std(axis=0)
-    else:
-        edge_mean = np.zeros(len(EDGE_FEATURES))
-        edge_std = np.ones(len(EDGE_FEATURES))
-    edge_std = np.where(edge_std > 0, edge_std, 1.0)  # constant edge feature: pass through centered
+    edge_mean, edge_std = edge_attribute_stats(network, wind[lo:hi])
 
     prepared = PreparedData(
         timestamps=complete.timestamps,

@@ -152,6 +152,15 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
     )
 
 
+def _advection_into(out, speed, direction, bearing_deg) -> np.ndarray:
+    """``max(0, speed * cos(direction - bearing))`` written into ``out``; returns ``out``."""
+    np.subtract(direction, bearing_deg, out=out)
+    np.radians(out, out=out)
+    np.cos(out, out=out)
+    out *= speed
+    return np.maximum(0.0, out, out=out)
+
+
 def advection_coefficient(wind_speed, wind_direction_deg, edge_bearing_deg):
     """Along-edge wind component, clipped at zero.
 
@@ -160,11 +169,12 @@ def advection_coefficient(wind_speed, wind_direction_deg, edge_bearing_deg):
     its full speed and an opposing or perpendicular wind contributes nothing.
     Accepts scalars or arrays.
     """
-    speed = np.asarray(wind_speed, dtype=float)
+    speed, direction, bearing = (np.asarray(x, dtype=float)
+                                 for x in (wind_speed, wind_direction_deg, edge_bearing_deg))
     if np.any(speed < 0):
         raise ValueError("wind speed must be non-negative")
-    delta = np.radians(np.asarray(wind_direction_deg, dtype=float) - np.asarray(edge_bearing_deg, dtype=float))
-    out = np.maximum(0.0, speed * np.cos(delta))
+    out = _advection_into(np.empty(np.broadcast_shapes(speed.shape, direction.shape, bearing.shape)),
+                          speed, direction, bearing)
     return float(out) if out.ndim == 0 else out
 
 
@@ -184,6 +194,14 @@ def wind_speed_direction(u10, v10):
     return speed, direction
 
 
+def _station_wind(network: StationNetwork, wind) -> tuple[np.ndarray, np.ndarray]:
+    """(speed, direction) of an (..., L, 2) wind field, each (..., L)."""
+    wind = np.asarray(wind, dtype=float)
+    if wind.shape[-2:] != (network.n_stations, 2):
+        raise ValueError(f"wind field must have shape (..., {network.n_stations}, 2), got {wind.shape}")
+    return wind_speed_direction(wind[..., 0], wind[..., 1])
+
+
 def edge_attributes_at(network: StationNetwork, wind: np.ndarray) -> np.ndarray:
     """Edge attributes from per-station wind fields, as (..., E, 5).
 
@@ -193,26 +211,59 @@ def edge_attributes_at(network: StationNetwork, wind: np.ndarray) -> np.ndarray:
     (m/s), source wind direction (deg, toward-convention) and the advection
     coefficient (m/s, never negative).  Distance and bearing are static and
     repeat at every timestep; speed and direction are computed once per
-    station and taken at the source station of each edge.
+    station and taken at the source station of each edge.  Every column is
+    written in place into the one output array.
     """
-    wind = np.asarray(wind, dtype=float)
-    if wind.shape[-2:] != (network.n_stations, 2):
-        raise ValueError(f"wind field must have shape (..., {network.n_stations}, 2), got {wind.shape}")
-    speed, direction = wind_speed_direction(wind[..., 0], wind[..., 1])
+    speed, direction = _station_wind(network, wind)
     src = network.edges[:, 0]
-    speed, direction = speed[..., src], direction[..., src]
-    adv = advection_coefficient(speed, direction, network.bearing_deg)
-    return np.stack([np.broadcast_to(network.distance_km, speed.shape),
-                     np.broadcast_to(network.bearing_deg, speed.shape),
-                     speed, direction, adv], axis=-1)
+    out = np.empty(speed.shape[:-1] + (network.n_edges, len(EDGE_FEATURES)))
+    out[..., 0] = network.distance_km
+    out[..., 1] = network.bearing_deg
+    np.take(speed, src, axis=-1, out=out[..., 2])
+    np.take(direction, src, axis=-1, out=out[..., 3])
+    _advection_into(out[..., 4], out[..., 2], out[..., 3], network.bearing_deg)
+    return out
+
+
+def edge_attribute_stats(network: StationNetwork, wind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population std of ``edge_attributes_at(network, wind)``'s rows.
+
+    Each column's statistics come from its factors, not from the (..., E, 5)
+    array: distance and bearing from the E edges, as they repeat at every
+    step; source wind speed and direction from the (..., L) station values,
+    each station weighted by its out-degree; only the advection coefficient
+    needs one (..., E) array.  A zero std (a constant column, or no rows at
+    all, whose mean reads 0) is returned as 1, so that standardizing passes
+    such a column through centred.
+    """
+    speed, direction = _station_wind(network, wind)
+    src = network.edges[:, 0]
+    mean, var = np.zeros(len(EDGE_FEATURES)), np.zeros(len(EDGE_FEATURES))
+    n_rows = speed.size // network.n_stations * network.n_edges
+    if n_rows:
+        static = np.stack([network.distance_km, network.bearing_deg])
+        mean[:2], var[:2] = static.mean(axis=1), static.var(axis=1)
+        weight = np.bincount(src, minlength=network.n_stations) / n_rows
+        for k, station in ((2, speed), (3, direction)):
+            station = station.reshape(-1, network.n_stations)
+            mean[k] = station.sum(axis=0) @ weight
+            var[k] = np.square(station - mean[k]).sum(axis=0) @ weight
+        adv = np.take(direction, src, axis=-1)
+        _advection_into(adv, np.take(speed, src, axis=-1), adv, network.bearing_deg)
+        mean[4], var[4] = adv.mean(), adv.var()
+    std = np.sqrt(var)
+    return mean, np.where(std > 0, std, 1.0)
 
 
 def inverse_distance_weights(network: StationNetwork) -> np.ndarray:
-    """Per-edge weights d_min / d_ij, d_min being the smallest edge distance."""
-    if network.n_edges == 0:
-        raise ValueError("inverse-distance weights need at least one edge")
+    """Per-edge weights d_min / d_ij, d_min being the smallest edge distance.
+
+    A network without edges gets an empty array.
+    """
     if np.any(network.distance_km <= 0):
         raise ValueError("zero-distance edge: co-located stations make inverse-distance weights degenerate")
+    if network.n_edges == 0:
+        return np.zeros(0)
     return float(network.distance_km.min()) / network.distance_km
 
 

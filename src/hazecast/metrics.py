@@ -36,24 +36,32 @@ def _as_pair(pred, truth):
 def mse_loss(pred, truth) -> float:
     """Mean squared error over all entries (location mean of per-step means)."""
     pred, truth = _as_pair(pred, truth)
-    return float(np.mean((pred - truth) ** 2))
+    return float(np.add.reduce((pred - truth) ** 2, axis=None) / pred.size)
 
 
 def rmse(pred, truth) -> float:
     pred, truth = _as_pair(pred, truth)
-    return float(np.sqrt(np.mean((pred - truth) ** 2)))
+    return float(np.sqrt(np.add.reduce((pred - truth) ** 2, axis=None) / pred.size))
 
 
 def mae(pred, truth) -> float:
     pred, truth = _as_pair(pred, truth)
-    return float(np.mean(np.abs(pred - truth)))
+    return float(np.add.reduce(np.abs(pred - truth), axis=None) / pred.size)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the average of their positions."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
-    start = np.cumsum(counts) - counts
-    return (start + 0.5 * (counts - 1) + 1.0)[inverse]
+    """1-based ranks with ties assigned the average of their positions.
+
+    Equal values (``0.0`` and ``-0.0`` among them) tie; each NaN ranks alone,
+    after every number, in the order of ``np.argsort``'s default sort.
+    """
+    order = np.argsort(x)
+    ordered = x[order]
+    start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(start, x.size))
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(start + 0.5 * (counts - 1) + 1.0, counts)
+    return ranks
 
 
 def spearman(pred, truth) -> float | None:
@@ -79,9 +87,9 @@ def threshold_metrics(pred, truth, haze: float):
     pred, truth = _as_pair(pred, truth)
     p = pred >= haze
     t = truth >= haze
-    hits = int(np.sum(p & t))
-    misses = int(np.sum(~p & t))
-    false_alarms = int(np.sum(p & ~t))
+    hits = int(np.count_nonzero(p & t))
+    misses = int(np.count_nonzero(~p & t))
+    false_alarms = int(np.count_nonzero(p & ~t))
     csi = 100.0 * hits / (hits + misses + false_alarms) if hits + misses + false_alarms else None
     pod = 100.0 * hits / (hits + misses) if hits + misses else None
     far = 100.0 * false_alarms / (hits + false_alarms) if hits + false_alarms else None

@@ -244,6 +244,27 @@ def test_imputation_matches_lstsq_oracle(seed, iterations):
     assert_matches_oracle(correlated_panel(seed), iterations)
 
 
+#: Gap counts around each power of two up to most of a 120-row series.
+GAP_COUNTS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 110, 0)
+
+
+def varied_gaps_panel(seed=9, steps=120, stations=9, features=4):
+    """Correlated panel whose stations' gap counts per feature run through GAP_COUNTS."""
+    panel = correlated_panel(seed, steps=steps, stations=stations, features=features, gap=0.0, outage=0)
+    rng = np.random.default_rng(seed)
+    for k in range(stations * features):
+        gaps = GAP_COUNTS[k % len(GAP_COUNTS)]
+        panel.values[rng.choice(steps, size=gaps, replace=False), k // features, k % features] = np.nan
+    return panel
+
+
+def test_imputation_with_gap_counts_from_one_to_most_rows_matches_oracle():
+    panel = varied_gaps_panel()
+    gaps = np.isnan(panel.values).sum(axis=0)
+    assert set(gaps.ravel().tolist()) == set(GAP_COUNTS)
+    assert_matches_oracle(panel)
+
+
 def test_imputation_small_panel_matches_oracle():
     assert_matches_oracle(gappy_panel())
 

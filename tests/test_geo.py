@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hazecast.geo import (
     Station,
     advection_coefficient,
     build_network,
+    edge_attribute_stats,
     edge_attributes_at,
     haversine_km,
     inverse_distance_weights,
@@ -311,6 +313,86 @@ class TestEdgeAttributes:
         assert np.all((direction >= 0.0) & (direction < 360.0))
 
 
+def materialized_edge_stats(network, wind):
+    """The standardization statistics as computed from the full (T, E, 5) array."""
+    edge_train = edge_attributes_at(network, wind).reshape(-1, len(EDGE_FEATURES))
+    if edge_train.shape[0]:
+        edge_mean = edge_train.mean(axis=0)
+        edge_std = edge_train.std(axis=0)
+    else:
+        edge_mean = np.zeros(len(EDGE_FEATURES))
+        edge_std = np.ones(len(EDGE_FEATURES))
+    edge_std = np.where(edge_std > 0, edge_std, 1.0)
+    return edge_mean, edge_std
+
+
+def network_with_isolated_station(seed=31):
+    """Ten stations within a few km of each other, plus one 100 km away."""
+    rng = np.random.default_rng(seed)
+    return build_network(random_stations(10, rng) + [S("far", 26.0, 85.0)], threshold_km=8.0)
+
+
+class TestEdgeAttributeStats:
+    @pytest.mark.parametrize("steps", [1, 2, 57])
+    def test_match_materialized_oracle(self, steps):
+        net = network_with_isolated_station()
+        degree = np.bincount(net.edges[:, 0], minlength=net.n_stations)
+        assert degree[-1] == 0 and len(set(degree[:-1].tolist())) > 1
+        rng = np.random.default_rng(steps)
+        wind = rng.normal(0, 4, size=(steps, net.n_stations, 2))
+        wind[0, 3] = 0.0           # calm
+        wind[-1, 1] = (-1e-300, 1.0)  # direction wraps to 0.0
+        got = edge_attribute_stats(net, wind)
+        want = materialized_edge_stats(net, wind)
+        for g, w in zip(got, want):
+            assert g.shape == (len(EDGE_FEATURES),)
+            np.testing.assert_allclose(g, w, rtol=1e-11, atol=0)
+
+    def test_single_field(self):
+        net = network_with_isolated_station()
+        wind = np.random.default_rng(2).normal(0, 4, size=(net.n_stations, 2))
+        for g, w in zip(edge_attribute_stats(net, wind), materialized_edge_stats(net, wind)):
+            np.testing.assert_allclose(g, w, rtol=1e-11, atol=0)
+
+    def test_constant_columns_get_unit_std(self):
+        net = network_with_isolated_station()
+        wind = np.tile([0.0, 2.0], (5, net.n_stations, 1))   # every station blows north at 2 m/s
+        mean, std = edge_attribute_stats(net, wind)
+        assert mean[2] == 2.0 and mean[3] == 0.0
+        assert std[2] == 1.0 and std[3] == 1.0
+        for g, w in zip((mean, std), materialized_edge_stats(net, wind)):
+            np.testing.assert_allclose(g, w, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("edgeless, steps", [(True, 0), (True, 3), (False, 0)])
+    def test_no_rows_give_zero_mean_and_unit_std(self, edgeless, steps):
+        net = (build_network([S("a", 0.0, 0.0), S("b", 1.0, 0.0)], threshold_km=5.0) if edgeless
+               else network_with_isolated_station())
+        wind = np.ones((steps, net.n_stations, 2))
+        mean, std = edge_attribute_stats(net, wind)
+        assert mean.tolist() == [0.0] * 5 and std.tolist() == [1.0] * 5
+        for g, w in zip((mean, std), materialized_edge_stats(net, wind)):
+            assert g.tobytes() == w.tobytes()
+
+    def test_wind_shape_checked(self):
+        net = network_with_isolated_station()
+        with pytest.raises(ValueError, match="wind field must have shape"):
+            edge_attribute_stats(net, np.zeros((4, net.n_stations - 1, 2)))
+
+    def test_allocates_less_than_the_attribute_array(self):
+        rng = np.random.default_rng(4)
+        net = build_network(random_stations(100, rng, extent_deg=0.3), threshold_km=15.0)
+        wind = rng.normal(0, 4, size=(200, net.n_stations, 2))
+        attribute_bytes = wind.shape[0] * net.n_edges * len(EDGE_FEATURES) * 8
+        assert attribute_bytes > 10_000_000
+        tracemalloc.start()
+        try:
+            edge_attribute_stats(net, wind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < attribute_bytes
+
+
 class TestBaselineWeights:
     def _net_with_distances_2_and_4(self):
         # a-b ~2 km, b-c ~4 km, a-c ~6 km (outside threshold 5)
@@ -336,6 +418,12 @@ class TestBaselineWeights:
             assert w[k] == pytest.approx(dmin / net.distance_km[k], rel=1e-12)
         assert np.all((w > 0) & (w <= 1.0))
         assert np.any(w == 1.0)
+
+    def test_network_without_edges_gets_no_weights(self):
+        net = build_network([S("a", 25.0, 85.0), S("b", 25.0, 86.5)], threshold_km=10.0)
+        assert net.n_edges == 0
+        w = inverse_distance_weights(net)
+        assert w.shape == (0,) and w.dtype == np.float64
 
 
 class TestStationIO:

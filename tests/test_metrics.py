@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -226,3 +228,101 @@ class TestAggregate:
         csv_lines = report.location_csv_lines()
         assert csv_lines[0].startswith("seed,station_id,loss")
         assert len(csv_lines) == 3
+
+
+# ---------------------------------------------------------------- the previous implementations
+
+
+def oracle_mse(pred, truth):
+    return float(np.mean((pred - truth) ** 2))
+
+
+def oracle_rmse(pred, truth):
+    return float(np.sqrt(np.mean((pred - truth) ** 2)))
+
+
+def oracle_mae(pred, truth):
+    return float(np.mean(np.abs(pred - truth)))
+
+
+def oracle_ranks(x):
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
+    start = np.cumsum(counts) - counts
+    return (start + 0.5 * (counts - 1) + 1.0)[inverse]
+
+
+def oracle_spearman(pred, truth):
+    if pred.size < 2 or np.all(pred == pred[0]) or np.all(truth == truth[0]):
+        return None
+    rp = oracle_ranks(pred)
+    rt = oracle_ranks(truth)
+    rp = rp - rp.mean()
+    rt = rt - rt.mean()
+    return float((rp @ rt) / np.sqrt((rp @ rp) * (rt @ rt)))
+
+
+def oracle_threshold(pred, truth, haze):
+    p = pred >= haze
+    t = truth >= haze
+    hits = int(np.sum(p & t))
+    misses = int(np.sum(~p & t))
+    false_alarms = int(np.sum(p & ~t))
+    csi = 100.0 * hits / (hits + misses + false_alarms) if hits + misses + false_alarms else None
+    pod = 100.0 * hits / (hits + misses) if hits + misses else None
+    far = 100.0 * false_alarms / (hits + false_alarms) if hits + false_alarms else None
+    return csi, pod, far
+
+
+def series_cases():
+    rng = np.random.default_rng(11)
+    cases = {f"random-{n}": rng.normal(50.0, 40.0, size=n) for n in (0, 1, 2, 3, 24)}
+    cases.update({
+        "ties-24": rng.integers(0, 4, size=24) * 25.0,
+        "ties-3": np.array([75.0, 10.0, 75.0]),
+        "constant-24": np.full(24, 75.0),
+        "constant-2": np.full(2, 3.0),
+        "nan-24": np.where(rng.random(24) < 0.3, np.nan, rng.integers(0, 5, size=24) * 30.0),
+        "nan-3": np.array([np.nan, 1.0, np.nan]),
+        "all-nan-2": np.full(2, np.nan),
+        "signed-zeros-24": rng.choice([0.0, -0.0, 1.0, -1.0], size=24),
+        "signed-zeros-3": np.array([-0.0, 0.0, -0.0]),
+    })
+    return cases
+
+
+CASES = series_cases()
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bit_identical_to_previous_implementations(name):
+    truth = CASES[name]
+    rng = np.random.default_rng(len(name))
+    others = [truth[::-1].copy(), truth + rng.normal(0.0, 30.0, size=truth.size), truth.copy()]
+    got_ranks, want_ranks = _average_ranks(truth), oracle_ranks(truth)
+    assert got_ranks.dtype == want_ranks.dtype and got_ranks.tobytes() == want_ranks.tobytes()
+    for pred in others:
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pairs = [(mse_loss(pred, truth), oracle_mse(pred, truth)),
+                     (rmse(pred, truth), oracle_rmse(pred, truth)),
+                     (mae(pred, truth), oracle_mae(pred, truth)),
+                     (spearman(pred, truth), oracle_spearman(pred, truth)),
+                     *zip(threshold_metrics(pred, truth, 75.0), oracle_threshold(pred, truth, 75.0))]
+        for got, want in pairs:
+            assert same_bits(got, want), (got, want)
+
+
+def test_ranks_bit_identical_on_many_random_series():
+    rng = np.random.default_rng(12)
+    for k in range(3000):
+        n = int(rng.integers(0, 40))
+        x = rng.integers(-2, 3, size=n) * 0.5 if k % 2 else rng.normal(size=n)
+        x[rng.random(n) < 0.1] = np.nan
+        x[x == 0.0] = rng.choice([0.0, -0.0], size=int((x == 0.0).sum()))
+        assert _average_ranks(x).tobytes() == oracle_ranks(x).tobytes()

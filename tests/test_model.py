@@ -163,6 +163,24 @@ class TestForward:
         expected = ref_forward(model, sample)
         assert np.allclose(preds, expected, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru", "wgc_gru", "gc_gru", "gru"])
+    def test_network_without_edges(self, variant):
+        # Two stations about 150 km apart under a 10 km threshold.
+        net = build_network([Station("a", 25.0, 85.0), Station("b", 25.0, 86.5)], threshold_km=10.0)
+        assert net.n_edges == 0
+        model = Forecaster(config(variant, net), net if variant != "gru" else None, seed=6)
+        sample = toy_sample(net, seed=7)
+        preds = model.predict(sample)
+        assert preds.shape == (2, 2) and np.isfinite(preds).all()
+        assert np.allclose(preds, ref_forward(model, sample), rtol=1e-10, atol=1e-12)
+
+    def test_scalar_graph_variants_agree_without_edges(self):
+        net = build_network([Station("a", 25.0, 85.0), Station("b", 25.0, 86.5)], threshold_km=10.0)
+        sample = toy_sample(net, seed=7)
+        weighted, mean = (Forecaster(config(v, net), net, seed=6).predict(sample)
+                          for v in ("wgc_gru", "gc_gru"))
+        assert weighted.tobytes() == mean.tobytes()
+
     @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru"])
     def test_predict_bit_identical_to_taped_forward(self, variant):
         net = toy_network(n=4, seed=5)
