@@ -7,9 +7,9 @@ accumulate across multiple backward calls (sum over a batch); reset leaves
 with :func:`zero_grads` between optimizer steps.
 
 Only the primitives the forecasting layers and their losses need are
-implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, the fused
-affine map :func:`linear` (``x @ W.T + b`` as one node), tanh, the sum and
-mean of all entries, concatenation/stacking, row gathering and reshaping.
+implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, tanh, the
+sum and mean of all entries, joining 2-D tensors by columns, stacking along a
+new leading axis, row gathering and reshaping.
 Row gathering sums its gradient through :func:`segment_sum`, which costs time
 and memory linear in the number of rows summed.  Everything runs
 single-threaded over numpy (see :func:`single_threaded_blas`), so identical
@@ -18,13 +18,12 @@ only into arrays it allocated itself.
 
 A layer can also record one fused node through :meth:`Tensor._make`, with
 every weight as a parent and a hand-derived backward; what such a node keeps
-alive until backward is whatever its backward closure refers to.  The
-per-step layers of :mod:`hazecast.layers` do so and keep only small arrays:
-``GruCell`` its joint input and three gates, ``TransformerConv`` its (L, d)
-query terms and edge-input sums and (E, 1) attention weights,
+alive until backward is whatever its backward closure refers to.  The layers
+of :mod:`hazecast.layers` do so and keep only small arrays: ``Linear`` its
+input, ``GruCell`` its joint input and three gates, ``TransformerConv`` its
+(L, d) query terms and edge-input sums and (E, 1) attention weights,
 ``LuongAttention`` its (H, L) attention weights and (L, d) query, joint and
-output, ``SpaceTimeEmbedding`` its scaled coordinates.  :func:`linear` keeps
-its input and weight only.
+output, ``SpaceTimeEmbedding`` its scaled coordinates.
 """
 
 from __future__ import annotations
@@ -136,14 +135,6 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-v))
 
 
-def affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """``x @ weight.T + bias`` on plain arrays: the forward of :func:`linear`."""
-    out = x @ weight.T
-    if bias is not None:
-        out += bias
-    return out
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -227,8 +218,6 @@ class Tensor:
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
         return Tensor._make(out_data, (self,), lambda g: (g.reshape(self.shape),))
 
@@ -297,48 +286,18 @@ class Tensor:
                     accumulate(parent, pg)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` of row-stacked inputs, as one tape node."""
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ValueError("linear supports 2-D operands only")
-    out_data = affine(x.data, weight.data, None if bias is None else bias.data)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        gx = g @ weight.data if x.requires_grad else None
-        gw = g.T @ x.data if weight.requires_grad else None
-        return gx, gw, (g.sum(axis=0) if bias is not None else None)
-
-    return Tensor._make(out_data, parents, backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis."""
+def concat(tensors) -> Tensor:
+    """Join 2-D tensors side by side, along their columns."""
     tensors = [Tensor._wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        pieces = []
-        for k in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[k], offsets[k + 1])
-            pieces.append(g[tuple(sl)])
-        return tuple(pieces)
-
-    return Tensor._make(out_data, tuple(tensors), backward)
+    out_data = np.concatenate([t.data for t in tensors], axis=1)
+    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+    return Tensor._make(out_data, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=1)))
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack same-shaped tensors along a new axis."""
+def stack(tensors) -> Tensor:
+    """Stack same-shaped tensors along a new leading axis."""
     tensors = [Tensor._wrap(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        return tuple(np.take(g, k, axis=axis) for k in range(len(tensors)))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
+    return Tensor._make(np.stack([t.data for t in tensors]), tuple(tensors), lambda g: tuple(g))
 
 
 def zero_grads(tensors) -> None:

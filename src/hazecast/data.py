@@ -227,10 +227,9 @@ def _parse_rows(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(timestamps, dtype="datetime64[m]"), np.array(rows, dtype=float)
 
 
-def load_corpus(manifest: Manifest, stations: list[Station] | None = None) -> tuple[RawPanel, list[Station]]:
+def load_corpus(manifest: Manifest) -> tuple[RawPanel, list[Station]]:
     """Load every station series named by the manifest into one panel, allocated once T is known."""
-    if stations is None:
-        stations = read_stations_csv(manifest.stations_path)
+    stations = read_stations_csv(manifest.stations_path)
     ref_ts = values = None
     for k, st in enumerate(stations):
         path = manifest.series_dir / f"{st.id}.csv"
@@ -443,10 +442,6 @@ class StandardizationStats:
     def standardize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def destandardize(self, values: np.ndarray, feature: str) -> np.ndarray:
-        k = self.index_of(feature)
-        return values * self.std[k] + self.mean[k]
-
 
 def compute_stats(panel: RawPanel, train_rows: tuple[int, int]) -> StandardizationStats:
     """Training-split standardization; constant non-target features are dropped."""
@@ -555,23 +550,22 @@ class PreparedData:
                     for sid, (lat, lon) in zip(self.station_ids, self.coords)]
         return build_network(stations, self.threshold_km)
 
-    def windows(self, split: str, history_steps: int, forecast_steps: int,
-                stride: int = 1) -> list[WindowSample]:
+    def windows(self, split: str, history_steps: int, forecast_steps: int) -> list[WindowSample]:
         """Sliding windows inside one split; never crosses a split boundary.
 
         Each window's ``edge_feats`` is a view of the split's attributes.
         """
         if split not in self.splits:
             raise UsageError(f"unknown split {split!r}")
-        if history_steps < 1 or forecast_steps < 1 or stride < 1:
-            raise UsageError("history, forecast and stride must be positive")
+        if history_steps < 1 or forecast_steps < 1:
+            raise UsageError("history and forecast lengths must be positive")
         lo, hi = self.splits[split]
         edge_feats = edge_attributes_at(self.network(), self.wind[lo:hi])
         edge_feats -= self.edge_mean
         edge_feats /= self.edge_std
         total = history_steps + forecast_steps
         out = []
-        for start in range(lo, hi - total + 1, stride):
+        for start in range(lo, hi - total + 1):
             mid = start + history_steps
             end = start + total
             out.append(WindowSample(
@@ -586,7 +580,8 @@ class PreparedData:
         return out
 
     def destandardize_target(self, values: np.ndarray) -> np.ndarray:
-        return self.stats.destandardize(values, TARGET)
+        k = self.stats.index_of(TARGET)
+        return values * self.stats.std[k] + self.stats.mean[k]
 
     # -- persistence --------------------------------------------------------
 

@@ -93,6 +93,13 @@ def _initial_bearing_deg(lat1, lon1, lat2, lon2):
     return _wrap_deg(np.degrees(np.arctan2(y, x)))
 
 
+def _undefined_bearings(lat1, lon1, lat2, lon2):
+    """(mask, reason) for each way an initial bearing is undefined; takes scalars or arrays."""
+    return (((lat1 == lat2) & (lon1 == lon2), "are co-located"),
+            ((np.abs(lat1) >= 90.0) | (np.abs(lat2) >= 90.0), "include a pole"),
+            ((np.abs(lat1 + lat2) < 1e-9) & (np.abs(np.abs(lon1 - lon2) - 180.0) < 1e-9), "are antipodal"))
+
+
 def haversine_km(a: Station, b: Station) -> float:
     """Great-circle distance between two stations (mean Earth radius 6371 km)."""
     return float(_haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
@@ -104,12 +111,9 @@ def initial_bearing_deg(a: Station, b: Station) -> float:
     Undefined configurations (coincident points, either endpoint at a pole,
     antipodal points) are rejected rather than given an arbitrary value.
     """
-    if a.latitude == b.latitude and a.longitude == b.longitude:
-        raise ValueError(f"undefined bearing: stations {a.id!r} and {b.id!r} are coincident")
-    if abs(a.latitude) >= 90.0 or abs(b.latitude) >= 90.0:
-        raise ValueError("undefined bearing: endpoint at a pole")
-    if abs(a.latitude + b.latitude) < 1e-9 and abs(abs(a.longitude - b.longitude) - 180.0) < 1e-9:
-        raise ValueError(f"undefined bearing: stations {a.id!r} and {b.id!r} are antipodal")
+    for undefined, why in _undefined_bearings(a.latitude, a.longitude, b.latitude, b.longitude):
+        if undefined:
+            raise ValueError(f"undefined bearing: stations {a.id!r} and {b.id!r} {why}")
     return float(_initial_bearing_deg(a.latitude, a.longitude, b.latitude, b.longitude))
 
 
@@ -117,7 +121,8 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
     """Connect every ordered pair of distinct stations within ``threshold_km``.
 
     Edge order is lexicographic by (source, sink) so downstream computations
-    are independent of evaluation order.
+    are independent of evaluation order.  An edge whose bearing is undefined
+    (co-located, polar or antipodal endpoints) raises ``DataError``.
     """
     if not stations:
         raise DataError("cannot build a network from an empty station list")
@@ -138,11 +143,10 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
     edges = np.argwhere(keep).astype(np.int64)  # row-major == lexicographic
 
     src, dst = edges[:, 0], edges[:, 1]
-    co_located = (lat[src] == lat[dst]) & (lon[src] == lon[dst])
-    if co_located.any():
-        i, j = edges[np.argmax(co_located)]
-        raise DataError(f"stations {ids[i]!r} and {ids[j]!r} are co-located; "
-                        "bearing is undefined for zero-distance edges")
+    for undefined, why in _undefined_bearings(lat[src], lon[src], lat[dst], lon[dst]):
+        if undefined.any():
+            i, j = edges[np.argmax(undefined)]
+            raise DataError(f"stations {ids[i]!r} and {ids[j]!r} {why}; the bearing of their edge is undefined")
     bearing = _initial_bearing_deg(lat[src], lon[src], lat[dst], lon[dst]) if len(edges) else np.zeros(0)
     return StationNetwork(
         stations=list(stations),

@@ -1,15 +1,17 @@
 """Differentiable building blocks for the forecasting models.
 
 Every layer owns its weights as :class:`~hazecast.autodiff.Tensor` leaves, so
-analytic gradients of any composition come from ``Tensor.backward``.  The
-layers the model unrolls per time step (:class:`GruCell`,
-:class:`TransformerConv`, :class:`LuongAttention` and
+analytic gradients of any composition come from ``Tensor.backward``.
+:class:`Linear` and the layers the model unrolls per time step
+(:class:`GruCell`, :class:`TransformerConv`, :class:`LuongAttention` and
 :class:`SpaceTimeEmbedding`) each record one tape node per call, built with
-``Tensor._make`` with every weight as a parent.  Its hand-derived backward
-keeps only small arrays (each class says which) and recomputes the rest, so
-the tape holds no (E, width) or (history, nodes, width) array between forward
-and backward.  The graph layer applies its maps on the node side of the edge
-sums, so its per-edge arrays are as wide as its inputs, not its output.
+``Tensor._make`` with every weight as a parent.  The affine map has one
+implementation, ``Linear.apply`` and ``Linear.param_grads``, which the fused
+layers reuse.  A hand-derived backward keeps only small arrays (each class
+says which) and recomputes the rest, so the tape holds no (E, width) or
+(history, nodes, width) array between forward and backward.  The graph
+layer applies its maps on the node side of the edge sums, so its per-edge
+arrays are as wide as its inputs, not its output.
 Weight matrices are drawn uniformly from ±sqrt(1/fan_in) and biases start
 at zero.  Every map has a bias except those whose bias a softmax would
 cancel: the graph layer's two key maps and the attention score.  Softmaxes
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, affine, linear, segment_sum, sigmoid
+from .autodiff import Tensor, segment_sum, sigmoid
 from .errors import NumericError
 
 LOCATION_SCALE = np.array([90.0, 180.0])  # degrees -> [-1, 1]
@@ -45,18 +47,27 @@ class Linear:
     def __init__(self, rng, in_dim: int, out_dim: int, bias: bool = True, name: str = "linear"):
         self.name = name
         self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = Tensor(init_matrix(rng, out_dim, in_dim), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ValueError(f"{self.name}: expected input dim {self.in_dim}, got {x.shape[-1]}")
-        return linear(x, self.weight, self.bias)
+        """The map of (rows, in_dim) inputs, as one tape node that keeps ``x``."""
+        if x.data.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ValueError(f"{self.name}: expected a 2-D input with {self.in_dim} columns, "
+                             f"got shape {x.shape}")
+
+        def backward(g):
+            gx = g @ self.weight.data if x.requires_grad else None
+            return (gx, *self.param_grads(g, x.data))
+
+        return Tensor._make(self.apply(x.data), (x, *_weights(self)), backward)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The map on a plain array, for fused layers that record their own node."""
-        return affine(x, self.weight.data, None if self.bias is None else self.bias.data)
+        out = x @ self.weight.data.T
+        if self.bias is not None:
+            out += self.bias.data
+        return out
 
     def param_grads(self, dy: np.ndarray, x: np.ndarray) -> tuple:
         """Gradients of the weight (and bias) for input ``x`` and output gradient ``dy``."""
@@ -270,8 +281,6 @@ class ScalarGraphConv:
 
     def __init__(self, rng, node_dim: int, out_dim: int, name: str = "conv"):
         self.name = name
-        self.node_dim = node_dim
-        self.out_dim = out_dim
         self.w_root = Linear(rng, node_dim, out_dim, name=f"{name}.root")
         self.w_msg = Linear(rng, node_dim, out_dim, name=f"{name}.msg")
 
@@ -360,7 +369,7 @@ class SpaceTimeEmbedding:
     its backward adds each block's column sums into that table's row.
     """
 
-    def __init__(self, rng, embed_dim: int = 8, name: str = "embed"):
+    def __init__(self, rng, embed_dim: int, name: str = "embed"):
         self.name = name
         self.embed_dim = embed_dim
         bound = math.sqrt(1.0 / embed_dim)
@@ -411,7 +420,6 @@ class Mlp:
 
     def __init__(self, rng, in_dim: int, hidden_dim: int, name: str = "mlp"):
         self.name = name
-        self.in_dim = in_dim
         self.hidden = Linear(rng, in_dim, hidden_dim, name=f"{name}.hidden")
         self.out = Linear(rng, hidden_dim, 1, name=f"{name}.out")
 

@@ -3,7 +3,8 @@
 The full model couples a per-timestep graph layer (attention message passing
 with dynamic edge attributes) to a GRU in the encoder, and a GRU plus
 history attention to a prediction head in the decoder.  The ablation
-variants are configuration points of the same assembly:
+variants are configuration points of the same assembly, and the variant is
+the model's only switch: its row in :data:`VARIANTS` fixes both columns.
 
 ======== ============== =========================
 variant  attention      graph mode
@@ -44,7 +45,7 @@ from .layers import (
     TransformerConv,
 )
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: variant name -> (use_attention, graph_mode)
 VARIANTS = {
@@ -55,12 +56,10 @@ VARIANTS = {
     "gru": (False, "none"),
 }
 
-GRAPH_MODES = ("edge-attrs", "inverse-distance", "binary", "none")
-
 
 @dataclass
 class ModelConfig:
-    """Architecture settings; ``use_attention``/``graph_mode`` default from the variant."""
+    """Architecture settings; attention and graph mode are read from the variant's row."""
 
     variant: str
     hidden: int
@@ -68,21 +67,20 @@ class ModelConfig:
     forecast_steps: int
     node_dim: int
     embed_dim: int = 8
-    use_attention: bool | None = None
-    graph_mode: str | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}")
-        default_attn, default_graph = VARIANTS[self.variant]
-        if self.use_attention is None:
-            self.use_attention = default_attn
-        if self.graph_mode is None:
-            self.graph_mode = default_graph
-        if self.graph_mode not in GRAPH_MODES:
-            raise UsageError(f"unknown graph mode {self.graph_mode!r}")
         if self.hidden <= 0 or self.history_steps <= 0 or self.forecast_steps <= 0:
             raise UsageError("hidden, history_steps and forecast_steps must be positive")
+
+    @property
+    def use_attention(self) -> bool:
+        return VARIANTS[self.variant][0]
+
+    @property
+    def graph_mode(self) -> str:
+        return VARIANTS[self.variant][1]
 
     @property
     def spacetime_dim(self) -> int:
@@ -164,17 +162,14 @@ class Forecaster:
 
     # -- single steps ------------------------------------------------------
 
-    def encoder_step(self, p: Tensor, edge_feats: Tensor | None, h_prev: Tensor) -> Tensor:
-        """One history step: ``p`` joined to its graph features, then the recurrence."""
+    def encoder_step(self, p: Tensor, edge, h_prev: Tensor) -> Tensor:
+        """One history step: ``p`` joined to its graph features, then the recurrence.
+
+        ``edge`` is the graph layer's edge input as :meth:`forward` picks it.
+        """
         if self.conv is None:
             return self.encoder_gru.step(h_prev, p)
-        if self.config.graph_mode == "edge-attrs":
-            if edge_feats is None:
-                raise ValueError("edge attributes required for graph mode 'edge-attrs'")
-            graph = self.conv(p, self.layout, edge_feats)
-        else:
-            graph = self.conv(p, self.layout, self.edge_coef)
-        return self.encoder_gru.step(h_prev, concat([p, graph], axis=1))
+        return self.encoder_gru.step(h_prev, concat([p, self.conv(p, self.layout, edge)]))
 
     def decoder_step(self, xbar: Tensor, prev_y: Tensor, h_prev: Tensor, history: Tensor | None):
         """One forecast step from the previous prediction and calendar features.
@@ -182,7 +177,7 @@ class Forecaster:
         ``history`` is the encoder's hidden states stacked as (H, L, hidden);
         only the attention decoder reads it.
         """
-        h = self.decoder_gru.step(h_prev, concat([xbar, prev_y], axis=1))
+        h = self.decoder_gru.step(h_prev, concat([xbar, prev_y]))
         if self.attention is not None:
             if history is None:
                 raise ValueError("attention decoder needs the encoder history")
@@ -200,22 +195,25 @@ class Forecaster:
         The encoder consumes node attributes, embeddings and history targets
         step by step; the decoder then feeds back its own outputs.  Inputs
         from the forecast period other than the calendar/location features
-        are never read.
+        are never read.  A window that does not fit the model raises
+        ``DataError``.
         """
         cfg = self.config
         sample.validate()
         h_steps, f_steps, n = sample.history_steps, sample.forecast_steps, sample.n_stations
         if h_steps != cfg.history_steps or f_steps != cfg.forecast_steps:
-            raise ValueError(
+            raise DataError(
                 f"window spans H={h_steps}, F={f_steps}; model expects "
                 f"H={cfg.history_steps}, F={cfg.forecast_steps}")
         if sample.x.shape[2] != cfg.node_dim:
-            raise ValueError(f"window has {sample.x.shape[2]} node attributes, model expects {cfg.node_dim}")
+            raise DataError(f"window has {sample.x.shape[2]} node attributes, model expects {cfg.node_dim}")
+        if self.layout is not None and n != self.layout.n_nodes:
+            raise DataError(f"window has {n} stations; the model's network has {self.layout.n_nodes}")
         if cfg.graph_mode == "edge-attrs":
-            if sample.edge_feats is None:
-                raise ValueError("graph mode 'edge-attrs' needs per-step edge attributes")
-            if sample.edge_feats.shape[1] != self.layout.n_edges:
-                raise ValueError("edge attributes do not match the network edge count")
+            expected = (h_steps, self.layout.n_edges, len(EDGE_FEATURES))
+            got = None if sample.edge_feats is None else sample.edge_feats.shape
+            if got != expected:
+                raise DataError(f"graph mode 'edge-attrs' needs edge attributes of shape {expected}, got {got}")
 
         xbar = [self.embed(int(hh), int(dw), int(mo), sample.coords)
                 for hh, dw, mo in sample.spacetime]
@@ -223,20 +221,20 @@ class Forecaster:
         h = Tensor(np.zeros((n, cfg.hidden)))
         history: list[Tensor] = []
         for t in range(h_steps):
-            p = concat([Tensor(sample.x[t]), xbar[t], Tensor(sample.y_hist[t].reshape(n, 1))], axis=1)
-            feats = Tensor(sample.edge_feats[t]) if cfg.graph_mode == "edge-attrs" else None
-            h = self.encoder_step(p, feats, h)
+            p = concat([Tensor(sample.x[t]), xbar[t], Tensor(sample.y_hist[t].reshape(n, 1))])
+            edge = Tensor(sample.edge_feats[t]) if cfg.graph_mode == "edge-attrs" else self.edge_coef
+            h = self.encoder_step(p, edge, h)
             history.append(h)
         # the decoder starts from the encoder's final per-step prediction
         prev = self.encoder_head(h)
 
-        memory = stack(history, axis=0) if self.attention is not None else None
+        memory = stack(history) if self.attention is not None else None
         dec_h = h
         outs: list[Tensor] = []
         for t in range(h_steps, h_steps + f_steps):
             dec_h, prev = self.decoder_step(xbar[t], prev, dec_h, memory)
             outs.append(prev.reshape(n))
-        return stack(outs, axis=0)
+        return stack(outs)
 
     def predict(self, sample: WindowSample) -> np.ndarray:
         """Forward pass without recording gradients; returns an (F, L) array."""

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hazecast.autodiff import (Tensor, concat, linear, segment_sum, single_threaded_blas, stack,
-                               zero_grads)
+from hazecast.autodiff import Tensor, concat, segment_sum, single_threaded_blas, stack, zero_grads
+from hazecast.layers import Linear
 
 from gradcheck import assert_gradients_match
 
@@ -82,7 +82,7 @@ def test_backward_requires_scalar():
 def test_forward_only_tensors_carry_no_graph():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
-    c = linear(a, b) + a
+    c = concat([a * b, b]).tanh() + a.reshape(1, 4)
     assert not c.requires_grad
     assert c._backward is None
 
@@ -138,7 +138,7 @@ def test_concat_stack_gather_gradients():
     idx = np.array([0, 2, 2, 1])
 
     def loss():
-        joined = concat([a, b], axis=1)          # (3, 6)
+        joined = concat([a, b])                  # (3, 6)
         piled = stack([joined, joined * 2.0])    # (2, 3, 6)
         picked = joined.gather_rows(idx)         # (4, 6), repeated row 2
         return piled.sum() + (picked * picked).sum()
@@ -161,10 +161,10 @@ def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-        loss = linear(x, w).tanh().sum()
+        lin = Linear(rng, 8, 8)
+        loss = lin(x).tanh().sum()
         loss.backward()
-        return loss.data.copy(), w.grad.copy()
+        return loss.data.copy(), lin.weight.grad.copy()
 
     l1, g1 = run()
     l2, g2 = run()
@@ -202,52 +202,56 @@ def test_segment_sum_empty_index(shape):
     assert np.all(got == 0.0)
 
 
-# ---------------------------------------------------------------- fused affine map
+# ---------------------------------------------------------------- the affine map, on Linear
 
 
 def test_linear_matches_matmul_plus_bias():
     rng = np.random.default_rng(22)
     x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
-    out = linear(Tensor(x), Tensor(w), Tensor(b))
+    lin, no_bias = Linear(rng, 3, 2), Linear(rng, 3, 2, bias=False)
+    lin.weight.data[...] = no_bias.weight.data[...] = w
+    lin.bias.data[...] = b
+    out = lin(Tensor(x))
     assert np.allclose(out.data, x @ w.T + b, rtol=1e-14)
-    assert np.allclose(linear(Tensor(x), Tensor(w)).data, x @ w.T, rtol=1e-14)
+    assert out._parents[1:] == (lin.weight, lin.bias)    # one node over the input and weights
+    assert np.allclose(no_bias(Tensor(x)).data, x @ w.T, rtol=1e-14)
 
 
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_linear_gradients(with_bias):
     rng = np.random.default_rng(23)
+    lin = Linear(rng, 3, 2, bias=with_bias)
+    if with_bias:
+        lin.bias.data[...] = rng.normal(size=2)
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=2), requires_grad=True) if with_bias else None
     probe = rng.normal(size=(4, 2))
 
     def loss():
-        return (linear(x, w, b).tanh() * probe).sum()
+        return (lin(x).tanh() * probe).sum()
 
-    tensors = {"x": x, "w": w}
-    if with_bias:
-        tensors["b"] = b
-    assert_gradients_match(loss, tensors)
+    assert_gradients_match(loss, dict(lin.params(), x=x))
 
 
 def test_linear_gradients_input_without_grad():
     rng = np.random.default_rng(24)
+    lin = Linear(rng, 3, 2)
+    lin.bias.data[...] = rng.normal(size=2)
     x = Tensor(rng.normal(size=(4, 3)))
-    w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=2), requires_grad=True)
     probe = rng.normal(size=(4, 2))
 
     def loss():
-        return (linear(x, w, b).tanh() * probe).sum()
+        return (lin(x).tanh() * probe).sum()
 
-    assert_gradients_match(loss, {"w": w, "b": b})
+    assert_gradients_match(loss, dict(lin.params()))
     assert x.grad is None
 
 
-@pytest.mark.parametrize("x_shape, w_shape", [((3,), (2, 3)), ((4, 3), (2, 3, 1)), ((1, 4, 3), (2, 3))])
+@pytest.mark.parametrize("x_shape, w_shape", [((3,), (2, 3)), ((4, 3), (2, 4)), ((1, 4, 3), (2, 3))])
 def test_linear_rejects_non_2d_operands(x_shape, w_shape):
+    # w_shape is the layer's (out_dim, in_dim); the middle case has the wrong column count
+    lin = Linear(np.random.default_rng(0), w_shape[1], w_shape[0])
     with pytest.raises(ValueError, match="2-D"):
-        linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
+        lin(Tensor(np.zeros(x_shape)))
 
 
 # ---------------------------------------------------------------- BLAS threads

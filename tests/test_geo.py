@@ -195,6 +195,18 @@ class TestBuildNetwork:
         with pytest.raises(DataError, match="stations 'b' and 'd' are co-located"):
             build_network(sts[1:], threshold_km=5.0)
 
+    @pytest.mark.parametrize("pole", [(90.0, 0.0), (90.0, 120.0), (-90.0, 0.0)])
+    def test_edge_to_a_pole_rejected(self, pole):
+        # Any longitude names the same pole point, so its edges have no defined bearing.
+        near = (89.9, 10.0) if pole[0] > 0 else (-89.9, 10.0)
+        with pytest.raises(DataError, match="stations 'n' and 'p' include a pole"):
+            build_network([S("n", *near), S("p", *pole)], threshold_km=50.0)
+
+    def test_antipodal_edge_rejected(self):
+        sts = [S("a", 10.0, 20.0), S("b", -10.0, -160.0)]
+        with pytest.raises(DataError, match="stations 'a' and 'b' are antipodal"):
+            build_network(sts, threshold_km=20100.0)
+
 
 class TestAdvection:
     def test_wind_aligned_with_edge(self):

@@ -6,7 +6,7 @@ from hazecast.container import save_arrays
 from hazecast.data import WindowSample
 from hazecast.errors import DataError, UsageError
 from hazecast.geo import Station, build_network, edge_attributes_at
-from hazecast.model import CHECKPOINT_VERSION, Forecaster, ModelConfig
+from hazecast.model import CHECKPOINT_VERSION, VARIANTS, Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
 from reference import ref_forward
@@ -53,6 +53,14 @@ class TestBuildVariant:
     def test_unknown_variant_rejected(self):
         with pytest.raises(UsageError, match="unknown variant"):
             ModelConfig(variant="lstm", hidden=4, history_steps=2, forecast_steps=1, node_dim=3)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_variant_is_the_only_switch(self, variant):
+        cfg = config(variant, None)
+        assert (cfg.use_attention, cfg.graph_mode) == VARIANTS[variant]
+        assert len(cfg.to_dict()) == 6
+        with pytest.raises(TypeError):
+            config(variant, None, graph_mode="none")
 
     def test_gru_variant_has_no_graph_parameters(self):
         net = toy_network()
@@ -146,7 +154,7 @@ class TestForward:
         history = []
         for t in range(cfg.history_steps):
             xbar = model.embed(*map(int, sample.spacetime[t]), sample.coords)
-            p = concat([Tensor(sample.x[t]), xbar, Tensor(sample.y_hist[t].reshape(n, 1))], axis=1)
+            p = concat([Tensor(sample.x[t]), xbar, Tensor(sample.y_hist[t].reshape(n, 1))])
             h = model.encoder_step(p, Tensor(sample.edge_feats[t]), h)
             history.append(h)
         yhat = model.encoder_head(h)
@@ -215,22 +223,6 @@ class TestForward:
                                edge_feats=sample.edge_feats)
         assert not np.array_equal(model.predict(mutated)[0], base[0])
 
-    def test_variant_reduction_to_plain_gru(self):
-        net = toy_network()
-        cfg_gru = config("gru", net)
-        reduced = ModelConfig(variant="agnn_gru", hidden=cfg_gru.hidden,
-                              history_steps=cfg_gru.history_steps,
-                              forecast_steps=cfg_gru.forecast_steps,
-                              node_dim=cfg_gru.node_dim, embed_dim=cfg_gru.embed_dim,
-                              use_attention=False, graph_mode="none")
-        a = Forecaster(cfg_gru, None, seed=12)
-        b = Forecaster(reduced, None, seed=12)
-        assert set(a.params) == set(b.params)
-        for name in a.params:
-            assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
-        sample = toy_sample(net, seed=13, with_edges=False)
-        assert np.array_equal(a.predict(sample), b.predict(sample))
-
     def test_permutation_consistency(self):
         rng = np.random.default_rng(20)
         net = toy_network(n=4, seed=21)
@@ -265,14 +257,36 @@ class TestForward:
         net = toy_network()
         model = Forecaster(config("agnn_gru", net), net, seed=0)
         sample = toy_sample(net, with_edges=False)
-        with pytest.raises(ValueError, match="edge"):
+        with pytest.raises(DataError, match="edge"):
+            model.predict(sample)
+
+    def test_edge_attributes_of_another_network_rejected(self):
+        net = toy_network()
+        model = Forecaster(config("gnn_gru", net), net, seed=0)
+        sample = toy_sample(net)
+        sample.edge_feats = sample.edge_feats[:, :-1]
+        with pytest.raises(DataError, match="edge attributes of shape"):
             model.predict(sample)
 
     def test_window_shape_mismatch_rejected(self):
         net = toy_network()
         model = Forecaster(config("agnn_gru", net, h=4), net, seed=0)
         sample = toy_sample(net, h=3)
-        with pytest.raises(ValueError, match="H="):
+        with pytest.raises(DataError, match="H="):
+            model.predict(sample)
+
+    def test_node_attribute_count_mismatch_rejected(self):
+        net = toy_network()
+        model = Forecaster(config("agnn_gru", net, node_dim=5), net, seed=0)
+        with pytest.raises(DataError, match="node attributes"):
+            model.predict(toy_sample(net, node_dim=4))
+
+    @pytest.mark.parametrize("model_stations, window_stations", [(3, 5), (5, 3)])
+    def test_station_count_mismatch_rejected(self, model_stations, window_stations):
+        net = toy_network(n=model_stations)
+        model = Forecaster(config("gc_gru", net), net, seed=0)
+        sample = toy_sample(toy_network(n=window_stations), with_edges=False)
+        with pytest.raises(DataError, match=f"window has {window_stations} stations"):
             model.predict(sample)
 
 
@@ -338,6 +352,10 @@ class TestCheckpoint:
     def test_version_2_checkpoint_rejected(self, tmp_path):
         with pytest.raises(DataError, match="version 2"):
             Forecaster.load(self.write(tmp_path / "m.bin", version=2))
+
+    def test_version_3_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="version 3"):
+            Forecaster.load(self.write(tmp_path / "m.bin", version=3, use_attention=False, graph_mode="none"))
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         from hazecast.container import save_arrays
