@@ -502,19 +502,19 @@ class WindowSample:
     def validate(self) -> None:
         h, f, n = self.history_steps, self.forecast_steps, self.n_stations
         if h <= 0 or f <= 0:
-            raise ValueError(f"window needs positive history/forecast lengths, got H={h}, F={f}")
+            raise DataError(f"window needs positive history/forecast lengths, got H={h}, F={f}")
         if self.x.shape[:2] != (h, n) or self.y_hist.shape != (h, n):
-            raise ValueError("inconsistent history shapes in window")
+            raise DataError("inconsistent history shapes in window")
         if self.y_future is not None and self.y_future.shape != (f, n):
-            raise ValueError("inconsistent forecast target shape in window")
+            raise DataError("inconsistent forecast target shape in window")
         if self.spacetime.shape != (h + f, 3):
-            raise ValueError("spacetime features must cover history + forecast")
+            raise DataError("spacetime features must cover history + forecast")
         for name, arr in (("x", self.x), ("y_hist", self.y_hist),
                           ("y_future", self.y_future), ("edge_feats", self.edge_feats)):
             if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in window field {name}")
+                raise DataError(f"non-finite values in window field {name}")
         if self.edge_feats is not None and self.edge_feats.shape[0] != h:
-            raise ValueError("edge attributes must span exactly the history period")
+            raise DataError("edge attributes must span exactly the history period")
 
 
 @dataclass

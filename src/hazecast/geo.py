@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -100,23 +100,6 @@ def _undefined_bearings(lat1, lon1, lat2, lon2):
             ((np.abs(lat1 + lat2) < 1e-9) & (np.abs(np.abs(lon1 - lon2) - 180.0) < 1e-9), "are antipodal"))
 
 
-def haversine_km(a: Station, b: Station) -> float:
-    """Great-circle distance between two stations (mean Earth radius 6371 km)."""
-    return float(_haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
-
-
-def initial_bearing_deg(a: Station, b: Station) -> float:
-    """Initial bearing from ``a`` to ``b``, degrees clockwise from north.
-
-    Undefined configurations (coincident points, either endpoint at a pole,
-    antipodal points) are rejected rather than given an arbitrary value.
-    """
-    for undefined, why in _undefined_bearings(a.latitude, a.longitude, b.latitude, b.longitude):
-        if undefined:
-            raise ValueError(f"undefined bearing: stations {a.id!r} and {b.id!r} {why}")
-    return float(_initial_bearing_deg(a.latitude, a.longitude, b.latitude, b.longitude))
-
-
 def build_network(stations: list[Station], threshold_km: float) -> StationNetwork:
     """Connect every ordered pair of distinct stations within ``threshold_km``.
 
@@ -129,7 +112,7 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
     if len(stations) < 2:
         raise DataError("need at least 2 stations to build a network")
     if threshold_km <= 0:
-        raise ValueError(f"distance threshold must be positive, got {threshold_km}")
+        raise UsageError(f"distance threshold must be positive, got {threshold_km}")
     ids = [s.id for s in stations]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -147,12 +130,11 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
         if undefined.any():
             i, j = edges[np.argmax(undefined)]
             raise DataError(f"stations {ids[i]!r} and {ids[j]!r} {why}; the bearing of their edge is undefined")
-    bearing = _initial_bearing_deg(lat[src], lon[src], lat[dst], lon[dst]) if len(edges) else np.zeros(0)
     return StationNetwork(
         stations=list(stations),
         edges=edges,
-        distance_km=dist[src, dst] if len(edges) else np.zeros(0),
-        bearing_deg=np.asarray(bearing, dtype=float),
+        distance_km=dist[src, dst],
+        bearing_deg=_initial_bearing_deg(lat[src], lon[src], lat[dst], lon[dst]),
     )
 
 
@@ -163,23 +145,6 @@ def _advection_into(out, speed, direction, bearing_deg) -> np.ndarray:
     np.cos(out, out=out)
     out *= speed
     return np.maximum(0.0, out, out=out)
-
-
-def advection_coefficient(wind_speed, wind_direction_deg, edge_bearing_deg):
-    """Along-edge wind component, clipped at zero.
-
-    ``max(0, speed * cos(direction - bearing))`` with the wind direction in
-    toward-convention, so a wind blowing exactly along the edge contributes
-    its full speed and an opposing or perpendicular wind contributes nothing.
-    Accepts scalars or arrays.
-    """
-    speed, direction, bearing = (np.asarray(x, dtype=float)
-                                 for x in (wind_speed, wind_direction_deg, edge_bearing_deg))
-    if np.any(speed < 0):
-        raise ValueError("wind speed must be non-negative")
-    out = _advection_into(np.empty(np.broadcast_shapes(speed.shape, direction.shape, bearing.shape)),
-                          speed, direction, bearing)
-    return float(out) if out.ndim == 0 else out
 
 
 def wind_speed_direction(u10, v10):
@@ -215,17 +180,18 @@ def edge_attributes_at(network: StationNetwork, wind: np.ndarray) -> np.ndarray:
     (m/s), source wind direction (deg, toward-convention) and the advection
     coefficient (m/s, never negative).  Distance and bearing are static and
     repeat at every timestep; speed and direction are computed once per
-    station and taken at the source station of each edge.  Every column is
-    written in place into the one output array.
+    station and taken at the source station of each edge.  The wind columns
+    are computed on contiguous (..., E) arrays, then copied into the output.
     """
     speed, direction = _station_wind(network, wind)
     src = network.edges[:, 0]
+    src_speed, src_dir = np.take(speed, src, axis=-1), np.take(direction, src, axis=-1)
     out = np.empty(speed.shape[:-1] + (network.n_edges, len(EDGE_FEATURES)))
     out[..., 0] = network.distance_km
     out[..., 1] = network.bearing_deg
-    np.take(speed, src, axis=-1, out=out[..., 2])
-    np.take(direction, src, axis=-1, out=out[..., 3])
-    _advection_into(out[..., 4], out[..., 2], out[..., 3], network.bearing_deg)
+    out[..., 2] = src_speed
+    out[..., 3] = src_dir
+    out[..., 4] = _advection_into(src_dir, src_speed, src_dir, network.bearing_deg)
     return out
 
 
@@ -266,9 +232,7 @@ def inverse_distance_weights(network: StationNetwork) -> np.ndarray:
     """
     if np.any(network.distance_km <= 0):
         raise ValueError("zero-distance edge: co-located stations make inverse-distance weights degenerate")
-    if network.n_edges == 0:
-        return np.zeros(0)
-    return float(network.distance_km.min()) / network.distance_km
+    return float(network.distance_km.min(initial=np.inf)) / network.distance_km
 
 
 def read_stations_csv(path) -> list[Station]:

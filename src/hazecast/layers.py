@@ -13,10 +13,11 @@ says which) and recomputes the rest, so the tape holds no (E, width) or
 layer applies its maps on the node side of the edge sums, so its per-edge
 arrays are as wide as its inputs, not its output.
 Weight matrices are drawn uniformly from ±sqrt(1/fan_in) and biases start
-at zero.  Every map has a bias except those whose bias a softmax would
-cancel: the graph layer's two key maps and the attention score.  Softmaxes
-subtract a constant per-group maximum before exponentiating, which changes
-neither values nor gradients but avoids overflow on large logits.
+at zero.  Every map has a bias except the attention score and the graph
+layer's two key maps, whose bias a softmax would cancel, and its edge-message
+map, whose bias would only add to the message map's.  Softmaxes subtract a
+constant per-group maximum before exponentiating, which changes neither
+values nor gradients but avoids overflow on large logits.
 """
 
 from __future__ import annotations
@@ -186,15 +187,15 @@ class TransformerConv:
     (msg(P_j) + edge_msg(E_ji)), where d is out_dim.  Nodes with no in-edges
     reduce to the root map alone.  The two key maps have no bias: a key bias
     b adds query(P_i) . b to every logit of sink i alike, and the softmax
-    cancels it.
+    cancels it.  Nor has the edge-message map: b_msg is each message's bias.
 
     No map runs per edge.  With edge rows x = [P_j, E_ji, 1] and the maps set
     side by side, K = [W_key, W_edge_key, 0] and M = [W_msg, W_edge_msg,
-    b_msg + b_edge_msg], the logit is (query(P_i) K) . x / sqrt(d) and the
-    message sum is (sum_j alpha_ji x) M^T, so per-edge arrays are
-    node_dim + edge_dim + 1 wide, not out_dim.  A call is one tape node; it
-    keeps query(P), query(P) K and the alpha-weighted sums of x, each
-    (nodes, width), and the (E, 1) weights, and backward gathers x again.
+    b_msg], the logit is (query(P_i) K) . x / sqrt(d) and the message sum
+    is (sum_j alpha_ji x) M^T, so per-edge arrays are node_dim + edge_dim +
+    1 wide, not out_dim.  A call is one tape node; it keeps query(P),
+    query(P) K and the alpha-weighted sums of x, each (nodes, width), and
+    the (E, 1) weights, and backward gathers x again.
     """
 
     def __init__(self, rng, node_dim: int, out_dim: int, edge_dim: int, name: str = "conv"):
@@ -207,7 +208,7 @@ class TransformerConv:
         self.w_query = Linear(rng, node_dim, out_dim, name=f"{name}.query")
         self.w_key = Linear(rng, node_dim, out_dim, bias=False, name=f"{name}.key")
         self.w_edge_key = Linear(rng, edge_dim, out_dim, bias=False, name=f"{name}.edge_key")
-        self.w_edge_msg = Linear(rng, edge_dim, out_dim, name=f"{name}.edge_msg")
+        self.w_edge_msg = Linear(rng, edge_dim, out_dim, bias=False, name=f"{name}.edge_msg")
 
     def __call__(self, nodes: Tensor, layout: GraphLayout, edge_feats: Tensor) -> Tensor:
         _check_finite(f"{self.name} node input", nodes.data)
@@ -230,8 +231,7 @@ class TransformerConv:
         # fresh arrays of that size cost more in page faults than in arithmetic.
         w_key = np.column_stack((self.w_key.weight.data, self.w_edge_key.weight.data,
                                  np.zeros(self.out_dim)))
-        w_msg = np.column_stack((self.w_msg.weight.data, self.w_edge_msg.weight.data,
-                                 self.w_msg.bias.data + self.w_edge_msg.bias.data))
+        w_msg = np.column_stack((self.w_msg.weight.data, self.w_edge_msg.weight.data, self.w_msg.bias.data))
         x = edge_inputs()
         query = self.w_query.apply(p)
         query_key = query @ w_key
@@ -261,7 +261,7 @@ class TransformerConv:
             return (d_nodes, d_x[:, n_in:-1] if edge_feats.requires_grad else None,
                     *self.w_root.param_grads(g, p), gm[:, :n_in], gm[:, -1],
                     *self.w_query.param_grads(d_query, p), gk[:, :n_in], gk[:, n_in:-1],
-                    gm[:, n_in:-1], gm[:, -1])
+                    gm[:, n_in:-1])
 
         return Tensor._make(out, (nodes, edge_feats, *_weights(self)), backward)
 

@@ -45,7 +45,10 @@ from .layers import (
     TransformerConv,
 )
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+
+#: Width of each calendar table row and of the location projection.
+EMBED_DIM = 8
 
 #: variant name -> (use_attention, graph_mode)
 VARIANTS = {
@@ -59,14 +62,14 @@ VARIANTS = {
 
 @dataclass
 class ModelConfig:
-    """Architecture settings; attention and graph mode are read from the variant's row."""
+    """Architecture settings.  The variant's row fixes attention and graph
+    mode; the embedding width is the constant :data:`EMBED_DIM`."""
 
     variant: str
     hidden: int
     history_steps: int
     forecast_steps: int
     node_dim: int
-    embed_dim: int = 8
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -81,15 +84,6 @@ class ModelConfig:
     @property
     def graph_mode(self) -> str:
         return VARIANTS[self.variant][1]
-
-    @property
-    def spacetime_dim(self) -> int:
-        return 4 * self.embed_dim
-
-    @property
-    def point_dim(self) -> int:
-        """Per-node encoder input: attributes + spacetime embedding + target."""
-        return self.node_dim + self.spacetime_dim + 1
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -120,8 +114,9 @@ class Forecaster:
         else:
             self.edge_coef = None
 
-        p, hidden = config.point_dim, config.hidden
-        self.embed = SpaceTimeEmbedding(rng, config.embed_dim, name="embed")
+        self.embed = SpaceTimeEmbedding(rng, EMBED_DIM, name="embed")
+        # per-node encoder input: attributes + spacetime embedding + target
+        p, hidden = config.node_dim + self.embed.out_dim + 1, config.hidden
         if config.graph_mode == "edge-attrs":
             self.conv = TransformerConv(rng, p, hidden, len(EDGE_FEATURES), name="encoder.conv")
         elif config.graph_mode in ("binary", "inverse-distance"):
@@ -131,7 +126,7 @@ class Forecaster:
         enc_in = p + (hidden if self.conv is not None else 0)
         self.encoder_gru = GruCell(rng, enc_in, hidden, name="encoder.gru")
         self.encoder_head = Mlp(rng, hidden, hidden, name="encoder.head")
-        self.decoder_gru = GruCell(rng, config.spacetime_dim + 1, hidden, name="decoder.gru")
+        self.decoder_gru = GruCell(rng, self.embed.out_dim + 1, hidden, name="decoder.gru")
         self.attention = (LuongAttention(rng, hidden, name="decoder.attention")
                           if config.use_attention else None)
         self.decoder_head = Mlp(rng, hidden, hidden, name="decoder.head")

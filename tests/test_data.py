@@ -117,7 +117,7 @@ def test_consistent_window_validates():
     (dict(edge_feats=np.zeros((2, 5, 5))), "span exactly the history"),
 ])
 def test_inconsistent_shapes_rejected(changes, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(DataError, match=message):
         window(**changes).validate()
 
 
@@ -128,7 +128,7 @@ def test_non_finite_field_rejected(field, bad):
     arr = getattr(sample, field).copy()
     arr.flat[1] = bad
     setattr(sample, field, arr)
-    with pytest.raises(ValueError, match=f"non-finite values in window field {field}"):
+    with pytest.raises(DataError, match=f"non-finite values in window field {field}"):
         sample.validate()
 
 

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hazecast.errors import DataError
+from hazecast.errors import DataError, UsageError
 from hazecast.geo import (
     EDGE_FEATURES,
     Station,
-    advection_coefficient,
+    _advection_into,
+    _haversine_km,
+    _initial_bearing_deg,
     build_network,
     edge_attribute_stats,
     edge_attributes_at,
-    haversine_km,
     inverse_distance_weights,
-    initial_bearing_deg,
     read_stations_csv,
     wind_speed_direction,
 )
@@ -45,55 +45,63 @@ def S(id_, lat, lon):
     return Station(id_, lat, lon)
 
 
+def haversine(a, b):
+    return float(_haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
+
+
+def bearing(a, b):
+    return float(_initial_bearing_deg(a.latitude, a.longitude, b.latitude, b.longitude))
+
+
+def advection(speed, direction, edge_bearing):
+    return float(_advection_into(np.empty(()), speed, direction, edge_bearing))
+
+
 class TestHaversine:
     def test_identical_points_zero(self):
         a = S("a", 25.0, 85.0)
-        assert haversine_km(a, S("b", 25.0, 85.0)) == 0.0
+        assert haversine(a, S("b", 25.0, 85.0)) == 0.0
 
     def test_quarter_circumference(self):
-        d = haversine_km(S("a", 0.0, 0.0), S("b", 0.0, 90.0))
+        d = haversine(S("a", 0.0, 0.0), S("b", 0.0, 90.0))
         assert d == pytest.approx(QUARTER_CIRCUMFERENCE_KM, rel=1e-9)
 
     def test_against_independent_great_circle_oracle(self):
-        d = haversine_km(S("a", 25.594, 85.137), S("b", 24.796, 85.004))
+        d = haversine(S("a", 25.594, 85.137), S("b", 24.796, 85.004))
         assert d == pytest.approx(DIST_PATNA_GAYA_KM, rel=1e-9)
 
     @given(coord, coord)
     @settings(max_examples=200)
     def test_symmetry(self, p, q):
         a, b = S("a", *p), S("b", *q)
-        dab, dba = haversine_km(a, b), haversine_km(b, a)
+        dab, dba = haversine(a, b), haversine(b, a)
         assert dab >= 0.0
         assert dab == pytest.approx(dba, rel=1e-9, abs=1e-12)
 
 
 class TestBearing:
     def test_due_north(self):
-        assert initial_bearing_deg(S("a", 0, 0), S("b", 10, 0)) == pytest.approx(0.0, abs=1e-12)
+        assert bearing(S("a", 0, 0), S("b", 10, 0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_due_east_along_equator(self):
-        assert initial_bearing_deg(S("a", 0, 0), S("b", 0, 10)) == pytest.approx(90.0, abs=1e-12)
+        assert bearing(S("a", 0, 0), S("b", 0, 10)) == pytest.approx(90.0, abs=1e-12)
 
     def test_against_spherical_trig_oracle(self):
-        b1 = initial_bearing_deg(S("a", 25.594, 85.137), S("b", 24.796, 85.004))
-        b2 = initial_bearing_deg(S("a", 10.5, -3.25), S("b", 12.75, 4.5))
+        b1 = bearing(S("a", 25.594, 85.137), S("b", 24.796, 85.004))
+        b2 = bearing(S("a", 10.5, -3.25), S("b", 12.75, 4.5))
         assert b1 == pytest.approx(BEARING_PATNA_GAYA_DEG, abs=1e-9)
         assert b2 == pytest.approx(BEARING_RANDOM_PAIR_DEG, abs=1e-9)
 
     @given(coord, coord)
     @settings(max_examples=200)
     def test_range(self, p, q):
-        # Coincident and antipodal pairs have no bearing and are rejected
-        # (see the *_rejected tests below), with the same 1e-9 tolerance.
-        antipodal = abs(p[0] + q[0]) < 1e-9 and abs(abs(p[1] - q[1]) - 180.0) < 1e-9
-        if p == q or antipodal:
-            return
-        b = initial_bearing_deg(S("a", *p), S("b", *q))
-        assert 0.0 <= b < 360.0
+        # Also where the bearing is undefined (coincident or antipodal
+        # points), which build_network rejects; see TestBuildNetwork.
+        assert 0.0 <= bearing(S("a", *p), S("b", *q)) < 360.0
 
     @pytest.mark.parametrize("p,q", NEAR_NORTH_PAIRS)
     def test_tiny_negative_angle_wraps_to_zero(self, p, q):
-        assert initial_bearing_deg(S("a", *p), S("b", *q)) == 0.0
+        assert bearing(S("a", *p), S("b", *q)) == 0.0
 
     @pytest.mark.parametrize("p,q", NEAR_NORTH_PAIRS)
     def test_network_bearings_in_range(self, p, q):
@@ -101,18 +109,6 @@ class TestBearing:
         net = build_network([S("a", *p), S("b", *q)], threshold_km=200.0)
         assert net.n_edges == 2
         assert np.all((net.bearing_deg >= 0.0) & (net.bearing_deg < 360.0))
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError, match="undefined bearing"):
-            initial_bearing_deg(S("a", 10, 20), S("b", 10, 20))
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError, match="pole"):
-            initial_bearing_deg(S("a", 90.0, 0.0), S("b", 10, 20))
-
-    def test_antipodal_rejected(self):
-        with pytest.raises(ValueError, match="antipodal"):
-            initial_bearing_deg(S("a", 10.0, 20.0), S("b", -10.0, -160.0))
 
 
 def random_stations(n, rng, lat0=25.0, lon0=85.0, extent_deg=0.08):
@@ -128,13 +124,13 @@ class TestBuildNetwork:
     def test_pair_below_threshold(self):
         # ~3 km apart along a meridian
         sts = [S("a", 0.0, 0.0), S("b", 0.027, 0.0)]
-        assert haversine_km(*sts) < 5.0
+        assert haversine(*sts) < 5.0
         net = build_network(sts, threshold_km=5.0)
         assert sorted(map(tuple, net.edges.tolist())) == [(0, 1), (1, 0)]
 
     def test_pair_above_threshold(self):
         sts = [S("a", 0.0, 0.0), S("b", 0.063, 0.0)]
-        assert haversine_km(*sts) > 5.0
+        assert haversine(*sts) > 5.0
         net = build_network(sts, threshold_km=5.0)
         assert net.n_edges == 0
 
@@ -148,7 +144,7 @@ class TestBuildNetwork:
                 (i, j)
                 for i in range(10)
                 for j in range(10)
-                if i != j and haversine_km(sts[i], sts[j]) <= thr
+                if i != j and haversine(sts[i], sts[j]) <= thr
             )
             assert sorted(map(tuple, net.edges.tolist())) == expected
             # lexicographic edge order
@@ -171,9 +167,9 @@ class TestBuildNetwork:
         net = build_network(sts, threshold_km=10.0)
         for k in range(net.n_edges):
             i, j = net.edges[k]
-            assert net.distance_km[k] == pytest.approx(haversine_km(sts[i], sts[j]), rel=1e-12)
+            assert net.distance_km[k] == pytest.approx(haversine(sts[i], sts[j]), rel=1e-12)
             assert net.bearing_deg[k] == pytest.approx(
-                initial_bearing_deg(sts[i], sts[j]), abs=1e-12)
+                bearing(sts[i], sts[j]), abs=1e-12)
 
     def test_empty_station_list(self):
         with pytest.raises(DataError):
@@ -182,6 +178,11 @@ class TestBuildNetwork:
     def test_single_station(self):
         with pytest.raises(DataError):
             build_network([S("a", 0, 0)], threshold_km=5.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -5.0])
+    def test_non_positive_threshold_rejected(self, threshold):
+        with pytest.raises(UsageError, match="distance threshold must be positive"):
+            build_network([S("a", 0, 0), S("b", 0.01, 0)], threshold_km=threshold)
 
     def test_duplicate_ids(self):
         with pytest.raises(DataError, match="duplicate"):
@@ -210,32 +211,37 @@ class TestBuildNetwork:
 
 class TestAdvection:
     def test_wind_aligned_with_edge(self):
-        assert advection_coefficient(5.0, 90.0, 90.0) == pytest.approx(5.0)
+        assert advection(5.0, 90.0, 90.0) == pytest.approx(5.0)
 
     def test_perpendicular_wind(self):
-        assert advection_coefficient(5.0, 0.0, 90.0) == pytest.approx(0.0, abs=1e-12)
+        assert advection(5.0, 0.0, 90.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_opposing_wind_clipped(self):
-        assert advection_coefficient(5.0, 270.0, 90.0) == 0.0
-
-    def test_negative_speed_rejected(self):
-        with pytest.raises(ValueError):
-            advection_coefficient(-1.0, 0.0, 0.0)
+        assert advection(5.0, 270.0, 90.0) == 0.0
 
     @given(st.floats(min_value=0, max_value=50),
            st.floats(min_value=0, max_value=360),
            st.floats(min_value=0, max_value=360))
     @settings(max_examples=300)
-    def test_nonnegative_and_bounded(self, speed, direction, bearing):
-        a = advection_coefficient(speed, direction, bearing)
+    def test_nonnegative_and_bounded(self, speed, direction, edge_bearing):
+        a = advection(speed, direction, edge_bearing)
         assert 0.0 <= a <= speed + 1e-12
+
+    def test_in_place_over_the_direction_array(self):
+        # edge_attributes_at writes the coefficient over its direction array.
+        rng = np.random.default_rng(4)
+        speed, direction = rng.uniform(0, 10, size=(3, 7)), rng.uniform(0, 360, size=(3, 7))
+        edge_bearing = rng.uniform(0, 360, size=7)
+        expected = _advection_into(np.empty((3, 7)), speed, direction, edge_bearing)
+        assert _advection_into(direction, speed, direction, edge_bearing) is direction
+        assert direction.tobytes() == expected.tobytes()
 
     def test_maximum_at_alignment(self):
         speed = 7.3
-        aligned = advection_coefficient(speed, 123.4, 123.4)
+        aligned = advection(speed, 123.4, 123.4)
         assert aligned == pytest.approx(speed, rel=1e-15)
         for direction in np.linspace(0, 359, 120):
-            assert advection_coefficient(speed, direction, 123.4) <= aligned + 1e-12
+            assert advection(speed, direction, 123.4) <= aligned + 1e-12
 
 
 class TestEdgeAttributes:

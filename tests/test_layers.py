@@ -278,7 +278,7 @@ class TestTransformerConv:
         out = conv(Tensor(nodes), layout, Tensor(feats))
         root = nodes[1] @ conv.w_root.weight.data.T + conv.w_root.bias.data
         msg = (nodes[0] @ conv.w_msg.weight.data.T + conv.w_msg.bias.data
-               + feats[0] @ conv.w_edge_msg.weight.data.T + conv.w_edge_msg.bias.data)
+               + feats[0] @ conv.w_edge_msg.weight.data.T)
         assert np.allclose(out.data[1], root + msg, rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -382,6 +382,24 @@ class TestTransformerConv:
         tensors = params_dict(conv)
         tensors["nodes"], tensors["edge_feats"] = nodes, feats
         assert_gradients_match(loss, tensors)
+
+    def test_edge_message_bias_is_the_message_bias(self):
+        # Every message carries both maps, so an edge-message bias c moves the
+        # output exactly as c added to the message bias would: the conv keeps one.
+        rng = np.random.default_rng(22)
+        conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
+        assert [n for n, _ in conv.params() if n.endswith(".bias")] == [
+            "conv.root.bias", "conv.msg.bias", "conv.query.bias"]
+        for _, t in conv.params():
+            t.data[...] = rng.normal(size=t.shape)
+        edges = [[0, 1], [2, 1], [1, 0]]
+        nodes, feats = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
+        split = {name: t.data.copy() for name, t in conv.params()}
+        split["conv.edge_msg.bias"] = rng.normal(size=2)
+        split["conv.msg.bias"] -= split["conv.edge_msg.bias"]
+        out = conv(Tensor(nodes), GraphLayout(np.array(edges), n_nodes=3), Tensor(feats)).data
+        expected = ref_transformer_conv(split, conv.name, conv.out_dim, nodes, edges, feats)
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
 
     def test_gradients_with_constant_edge_features(self):
         rng = np.random.default_rng(21)

@@ -6,7 +6,7 @@ from hazecast.container import save_arrays
 from hazecast.data import WindowSample
 from hazecast.errors import DataError, UsageError
 from hazecast.geo import Station, build_network, edge_attributes_at
-from hazecast.model import CHECKPOINT_VERSION, VARIANTS, Forecaster, ModelConfig
+from hazecast.model import CHECKPOINT_VERSION, EMBED_DIM, VARIANTS, Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
 from reference import ref_forward
@@ -46,7 +46,7 @@ def toy_sample(network, h=3, f=2, node_dim=4, seed=1, with_edges=True):
 
 def config(variant, network, h=3, f=2, node_dim=4, hidden=5, **kw):
     return ModelConfig(variant=variant, hidden=hidden, history_steps=h,
-                       forecast_steps=f, node_dim=node_dim, embed_dim=4, **kw)
+                       forecast_steps=f, node_dim=node_dim, **kw)
 
 
 class TestBuildVariant:
@@ -58,7 +58,7 @@ class TestBuildVariant:
     def test_variant_is_the_only_switch(self, variant):
         cfg = config(variant, None)
         assert (cfg.use_attention, cfg.graph_mode) == VARIANTS[variant]
-        assert len(cfg.to_dict()) == 6
+        assert len(cfg.to_dict()) == 5
         with pytest.raises(TypeError):
             config(variant, None, graph_mode="none")
 
@@ -81,17 +81,15 @@ class TestBuildVariant:
 
     def test_parameter_count_matches_shape_accounting(self):
         net = toy_network()
-        cfg = config("agnn_gru", net, node_dim=9, hidden=16, h=3, f=2)
-        cfg.embed_dim = 8
-        model = Forecaster(cfg, net, seed=0)
+        model = Forecaster(config("agnn_gru", net, node_dim=9, hidden=16, h=3, f=2), net, seed=0)
 
-        e = 8
+        e = EMBED_DIM
         spacetime = 4 * e
         p = 9 + spacetime + 1
         g = 16
         expected = 0
         expected += (24 + 7 + 12) * e + e * 2 + e                      # embed tables + location
-        expected += 3 * (g * p + g) + g * p + g * 5 + (g * 5 + g)      # conv: root/msg/query, key, edge maps
+        expected += 3 * (g * p + g) + g * p + g * 5 + g * 5            # conv: root/msg/query, key, edge maps
         enc_in = p + g
         expected += 3 * (16 * (16 + enc_in) + 16)                      # encoder gru
         expected += (16 * 16 + 16) + (1 * 16 + 1)                      # encoder head
@@ -293,9 +291,7 @@ class TestForward:
 class TestGradients:
     def test_end_to_end_gradients_small(self):
         net = toy_network(n=3, seed=30)
-        cfg = config("agnn_gru", net, h=2, f=2, node_dim=2, hidden=3)
-        cfg.embed_dim = 2
-        model = Forecaster(cfg, net, seed=31)
+        model = Forecaster(config("agnn_gru", net, h=2, f=2, node_dim=2, hidden=3), net, seed=31)
         sample = toy_sample(net, h=2, f=2, node_dim=2, seed=32)
         truth = sample.y_future
 
@@ -356,6 +352,10 @@ class TestCheckpoint:
     def test_version_3_checkpoint_rejected(self, tmp_path):
         with pytest.raises(DataError, match="version 3"):
             Forecaster.load(self.write(tmp_path / "m.bin", version=3, use_attention=False, graph_mode="none"))
+
+    def test_version_4_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="version 4"):
+            Forecaster.load(self.write(tmp_path / "m.bin", version=4, embed_dim=EMBED_DIM))
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         from hazecast.container import save_arrays
