@@ -9,21 +9,25 @@ with :func:`zero_grads` between optimizer steps.
 Only the primitives the forecasting layers and their losses need are
 implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, tanh, the
 sum and mean of all entries, joining 2-D tensors by columns, stacking along a
-new leading axis, row gathering and reshaping.
+new leading axis, row blocks, row gathering and reshaping.
 Row gathering sums its gradient through :func:`segment_sum`, which costs time
 and memory linear in the number of rows summed.  Everything runs
 single-threaded over numpy (see :func:`single_threaded_blas`), so identical
 inputs give bit-identical results.  ``backward`` adds gradients in place, but
-only into arrays it allocated itself.
+only into arrays it allocated itself.  A row block (:meth:`Tensor.rows`) is a
+view of a run of its parent's rows; ``backward`` adds the gradients of all
+blocks of one parent, which may touch, overlap or repeat, into one buffer the
+size of that parent.
 
 A layer can also record one fused node through :meth:`Tensor._make`, with
 every weight as a parent and a hand-derived backward; what such a node keeps
 alive until backward is whatever its backward closure refers to.  The layers
 of :mod:`hazecast.layers` do so and keep only small arrays: ``Linear`` its
-input, ``GruCell`` its joint input and three gates, ``TransformerConv`` its
-(L, d) query terms and edge-input sums and (E, 1) attention weights,
-``LuongAttention`` its (H, L) attention weights and (L, d) query, joint and
-output, ``SpaceTimeEmbedding`` its scaled coordinates.
+input; ``GruCell`` the joint input [h, input parts] and its three gates;
+``TransformerConv`` its (nodes, d) query terms and edge-input sums and its
+(edges, 1) attention weights; ``LuongAttention`` its (H, L) attention weights
+and (L, d) query, joint and output; ``SpaceTimeEmbedding`` its scaled
+coordinates and calendar ids.
 """
 
 from __future__ import annotations
@@ -136,7 +140,7 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rows")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -144,6 +148,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._rows = None  # the parent's rows this node's gradient covers; None: all of it
 
     # -- construction -----------------------------------------------------
 
@@ -186,11 +191,8 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: (-g,))
-
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        return self + self._wrap(other) * -1.0
 
     def __mul__(self, other):
         other = self._wrap(other)
@@ -220,6 +222,12 @@ class Tensor:
     def reshape(self, *shape):
         out_data = self.data.reshape(shape)
         return Tensor._make(out_data, (self,), lambda g: (g.reshape(self.shape),))
+
+    def rows(self, start: int, stop: int):
+        """Rows ``start:stop`` as a view; backward adds the gradient into those rows only."""
+        out = Tensor._make(self.data[start:stop], (self,), lambda g: (g,))
+        out._rows = slice(start, stop)
+        return out
 
     def gather_rows(self, index: np.ndarray):
         """Select rows by integer index; duplicate indices accumulate on backward."""
@@ -258,32 +266,36 @@ class Tensor:
                 order.append(node)
 
         # A handed-over array may be shared (``__add__`` passes its gradient
-        # on as is), so the first write copies it; later ones add in place.
+        # on as is), so the first write keeps it and the next adds into a
+        # copy; a row block's first write zeroes a buffer the size of its parent.
         grads: dict[int, np.ndarray] = {}
         owned: set[int] = set()
 
-        def accumulate(node: Tensor, g: np.ndarray) -> None:
-            key = id(node)
-            if node._backward is None and node.grad is None:
-                node.grad = np.array(np.broadcast_to(g, node.shape))
-            elif node._backward is None:
-                node.grad += g
-            elif key in owned:
-                grads[key] += g
-            elif key in grads:
-                grads[key] = grads[key] + g
-                owned.add(key)
+        def accumulate(node: Tensor, g: np.ndarray, rows: slice | None) -> None:
+            key, leaf = id(node), node._backward is None
+            buf = node.grad if leaf else grads.get(key)
+            if buf is None and rows is None:
+                buf = np.array(np.broadcast_to(g, node.shape)) if leaf else g
             else:
-                grads[key] = g
+                if buf is None:
+                    buf = np.zeros(node.shape)
+                elif not (leaf or key in owned):
+                    buf = buf.copy()
+                buf[rows or ...] += g
+                owned.add(key)
+            if leaf:
+                node.grad = buf
+            else:
+                grads[key] = buf
 
-        accumulate(self, grad)
+        accumulate(self, grad, None)
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is not None and parent.requires_grad:
-                    accumulate(parent, pg)
+                    accumulate(parent, pg, node._rows)
 
 
 def concat(tensors) -> Tensor:

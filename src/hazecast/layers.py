@@ -2,16 +2,18 @@
 
 Every layer owns its weights as :class:`~hazecast.autodiff.Tensor` leaves, so
 analytic gradients of any composition come from ``Tensor.backward``.
-:class:`Linear` and the layers the model unrolls per time step
-(:class:`GruCell`, :class:`TransformerConv`, :class:`LuongAttention` and
-:class:`SpaceTimeEmbedding`) each record one tape node per call, built with
-``Tensor._make`` with every weight as a parent.  The affine map has one
-implementation, ``Linear.apply`` and ``Linear.param_grads``, which the fused
-layers reuse.  A hand-derived backward keeps only small arrays (each class
-says which) and recomputes the rest, so the tape holds no (E, width) or
-(history, nodes, width) array between forward and backward.  The graph
-layer applies its maps on the node side of the edge sums, so its per-edge
-arrays are as wide as its inputs, not its output.
+:class:`Linear`, :class:`GruCell`, :class:`TransformerConv`,
+:class:`LuongAttention` and :class:`SpaceTimeEmbedding` each record one tape
+node per call, built with ``Tensor._make`` with every weight as a parent.
+The model calls the GRU and the attention once per hour, the embedding once
+per window and the graph layers once per union of hours
+(:meth:`GraphLayout.union`).  The affine map has one implementation,
+``Linear.apply`` and ``Linear.param_grads``, which the fused layers reuse.
+A hand-derived backward keeps only small arrays (each class says which) and
+recomputes the rest, so the tape holds no (E, width) or (history, nodes,
+width) array between forward and backward.  The graph layer applies its
+maps on the node side of the edge sums, so its per-edge arrays are as wide
+as its inputs, not its output.
 Weight matrices are drawn uniformly from ±sqrt(1/fan_in) and biases start
 at zero.  Every map has a bias except the attention score and the graph
 layer's two key maps, whose bias a softmax would cancel, and its edge-message
@@ -96,8 +98,9 @@ class GruCell:
     Each output coordinate is a convex combination of the previous hidden
     state and a value in (-1, 1), so |h_i| never exceeds max(|h_prev,i|, 1).
 
-    ``step`` is one tape node.  For backward it keeps the joint input
-    [h, x] and the update, reset and candidate gates, each (rows, hidden).
+    ``step`` is one tape node, with its input x given as column blocks.  For
+    backward it keeps the joint input [h, x] and the update, reset and
+    candidate gates, each (rows, hidden).
     """
 
     def __init__(self, rng, input_dim: int, hidden_dim: int, name: str = "gru"):
@@ -109,15 +112,16 @@ class GruCell:
         self.w_reset = Linear(rng, joint, hidden_dim, name=f"{name}.reset")
         self.w_cand = Linear(rng, joint, hidden_dim, name=f"{name}.candidate")
 
-    def step(self, h_prev: Tensor, x: Tensor) -> Tensor:
-        if h_prev.shape[-1] != self.hidden_dim or x.shape[-1] != self.input_dim:
+    def step(self, h_prev: Tensor, *parts: Tensor) -> Tensor:
+        widths = [x.shape[-1] for x in parts]
+        if h_prev.shape[-1] != self.hidden_dim or sum(widths) != self.input_dim:
             raise ValueError(
                 f"{self.name}: expected hidden {self.hidden_dim} / input {self.input_dim}, "
-                f"got {h_prev.shape[-1]} / {x.shape[-1]}"
+                f"got {h_prev.shape[-1]} / {sum(widths)}"
             )
-        _check_finite(f"{self.name} input", x.data)
         hd = self.hidden_dim
-        joint = np.concatenate([h_prev.data, x.data], axis=1)
+        joint = np.concatenate([h_prev.data, *(x.data for x in parts)], axis=1)
+        _check_finite(f"{self.name} input", joint[:, hd:])
         h = joint[:, :hd]
         update = sigmoid(self.w_update.apply(joint))
         reset = sigmoid(self.w_reset.apply(joint))
@@ -131,17 +135,25 @@ class GruCell:
             d_reset = d_gated[:, :hd] * h * reset * (1.0 - reset)
             d_joint = d_update @ self.w_update.weight.data + d_reset @ self.w_reset.weight.data
             d_h = d_joint[:, :hd] + g * (1.0 - update) + d_gated[:, :hd] * reset
+            d_x = d_joint[:, hd:] + d_gated[:, hd:]
             gated = np.concatenate([reset * h, joint[:, hd:]], axis=1)
-            return (d_h, d_joint[:, hd:] + d_gated[:, hd:],
+            return (d_h, *np.split(d_x, np.cumsum(widths)[:-1], axis=1),
                     *self.w_update.param_grads(d_update, joint),
                     *self.w_reset.param_grads(d_reset, joint),
                     *self.w_cand.param_grads(d_cand, gated))
 
-        return Tensor._make(out, (h_prev, x, *_weights(self)), backward)
+        return Tensor._make(out, (h_prev, *parts, *_weights(self)), backward)
 
     def params(self):
         for lin in (self.w_update, self.w_reset, self.w_cand):
             yield from lin.params()
+
+
+#: Most edge rows of one graph-layer call over a union of hours.  The conv's
+#: forward and backward over 24 hours (2-vCPU VM) took 17.8 ms in 1-hour and
+#: 14.3 ms in 8-hour calls at 30 stations (272 edges), but 449, 576 and 726 ms
+#: at 1, 2 and 24 hours per call at 1000 stations (9866 edges).
+UNION_EDGE_ROWS = 2048
 
 
 class GraphLayout:
@@ -150,16 +162,33 @@ class GraphLayout:
     Holds the (source, sink) index arrays and each node's in-degree.  Per-edge
     rows are summed into nodes by :meth:`segment_sum`, which caches its cells
     per (side, width); time and memory grow linearly with the number of edges.
+    :meth:`union` stacks k copies of the graph, one per hour, so that one
+    call of a graph layer serves k hours (PyTorch Geometric's mini-batching).
+    A union makes its cells per call: kept, they added 7-11 MiB to the peak
+    RSS of a training run at the reference size.
     """
 
-    def __init__(self, edges: np.ndarray, n_nodes: int):
+    def __init__(self, edges: np.ndarray, n_nodes: int, cache_cells: bool = True):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.n_nodes = int(n_nodes)
         self.n_edges = int(edges.shape[0])
         self.src = edges[:, 0]
         self.dst = edges[:, 1]
         self.in_degree = np.bincount(self.dst, minlength=self.n_nodes)
-        self._cells: dict[str, dict[int, np.ndarray]] = {"src": {}, "dst": {}}
+        self._cells = {"src": {}, "dst": {}} if cache_cells else {"src": None, "dst": None}
+        self._unions: dict[int, GraphLayout] = {1: self}
+
+    def union(self, k: int) -> "GraphLayout":
+        """k disjoint copies, built once: copy t holds nodes t*n.. and this graph's edges, in order."""
+        if k not in self._unions:
+            offset = (np.arange(k) * self.n_nodes)[:, None, None]
+            edges = np.stack((self.src, self.dst), axis=1)[None] + offset
+            self._unions[k] = GraphLayout(edges, k * self.n_nodes, cache_cells=False)
+        return self._unions[k]
+
+    def hours_per_call(self, hours: int) -> int:
+        """Hours per graph-layer call: as many as fit in :data:`UNION_EDGE_ROWS` edge rows, at least 1."""
+        return max(1, min(hours, UNION_EDGE_ROWS // max(1, self.n_edges)))
 
     def segment_sum(self, per_edge: np.ndarray, side: str = "dst") -> np.ndarray:
         """Sum per-edge rows into the node at each edge's ``side`` ("dst" or "src")."""
@@ -317,7 +346,8 @@ class LuongAttention:
     A call is one tape node.  Scores and context are matrix products
     batched over rows (:func:`_scores`, :func:`_mix`) that build no (H, L, d)
     array.  For backward it keeps the (H, L) weights, the projected query,
-    the joint [context, dec] and the output, each (L, width).
+    the joint [context, dec] and the output, each (L, width); the history's
+    gradient is one product batched over rows.
     """
 
     def __init__(self, rng, hidden_dim: int, name: str = "attention"):
@@ -347,9 +377,9 @@ class LuongAttention:
             d_logits = weights * (d_weights - (weights * d_weights).sum(axis=0))
             d_query = _mix(d_logits, hist)
             d_hist = None
-            if history.requires_grad:
-                d_hist = (np.einsum("hl,ld->hld", weights, d_context)
-                          + np.einsum("hl,ld->hld", d_logits, query))
+            if history.requires_grad:  # per row i: [weights, d_logits][:, i] @ [d_context; query][i]
+                d_hist = (np.stack((weights.T, d_logits.T), axis=2)
+                          @ np.stack((d_context, query), axis=1)).transpose(1, 0, 2)
             d_state = d_joint[:, self.hidden_dim:] + d_query @ w_score.T
             return (d_hist, d_state, state.T @ d_query, *self.w_out.param_grads(d_z, joint))
 
@@ -363,50 +393,42 @@ class LuongAttention:
 class SpaceTimeEmbedding:
     """Trainable lookup tables for calendar fields plus a location projection.
 
-    The output row per station is [hour row, day-of-week row, month row,
-    projected (lat/90, lon/180)], four blocks of the embedding width each.
-    A call is one tape node that keeps only the scaled coordinates (rows, 2);
-    its backward adds each block's column sums into that table's row.
+    The output row per hour and station is [hour row, day-of-week row, month
+    row, projected (lat/90, lon/180)], four blocks of the embedding width
+    each.  A call embeds all hours of a window as one tape node that keeps
+    the scaled coordinates (stations, 2) and the ids, which must be in range
+    (``WindowSample.validate`` checks them).
     """
 
     def __init__(self, rng, embed_dim: int, name: str = "embed"):
         self.name = name
-        self.embed_dim = embed_dim
+        self.embed_dim, self.out_dim = embed_dim, 4 * embed_dim
         bound = math.sqrt(1.0 / embed_dim)
         self.hour_table = Tensor(rng.uniform(-bound, bound, size=(24, embed_dim)), requires_grad=True)
         self.dow_table = Tensor(rng.uniform(-bound, bound, size=(7, embed_dim)), requires_grad=True)
         self.month_table = Tensor(rng.uniform(-bound, bound, size=(12, embed_dim)), requires_grad=True)
         self.location = Linear(rng, 2, embed_dim, name=f"{name}.location")
 
-    @property
-    def out_dim(self) -> int:
-        return 4 * self.embed_dim
-
-    def __call__(self, hour: int, dow: int, month: int, coords: np.ndarray) -> Tensor:
-        if not 0 <= hour <= 23:
-            raise ValueError(f"hour {hour} outside 0..23")
-        if not 0 <= dow <= 6:
-            raise ValueError(f"day-of-week {dow} outside 0..6")
-        if not 1 <= month <= 12:
-            raise ValueError(f"month {month} outside 1..12")
+    def __call__(self, spacetime: np.ndarray, coords: np.ndarray) -> Tensor:
+        """(S*L, out_dim) rows for ids ``spacetime`` (S, 3) at L stations; row s*L + i: hour s, station i."""
+        ids = np.asarray(spacetime, dtype=np.int64).reshape(-1, 3) - np.array([0, 0, 1])
         scaled = np.asarray(coords, dtype=float).reshape(-1, 2) / LOCATION_SCALE
-        e = self.embed_dim
+        e, n_hours, n = self.embed_dim, ids.shape[0], scaled.shape[0]
         tables = (self.hour_table, self.dow_table, self.month_table)
-        rows = (hour, dow, month - 1)
-        out = np.empty((scaled.shape[0], self.out_dim))
-        for k, (table, row) in enumerate(zip(tables, rows)):
-            out[:, k * e:(k + 1) * e] = table.data[row]
-        out[:, 3 * e:] = self.location.apply(scaled)
+        out = np.empty((n_hours, n, self.out_dim))
+        for k, table in enumerate(tables):
+            out[:, :, k * e:(k + 1) * e] = table.data[ids[:, k], None]
+        out[:, :, 3 * e:] = self.location.apply(scaled)
 
         def backward(g):
-            grads = []
-            for k, (table, row) in enumerate(zip(tables, rows)):
-                d_table = np.zeros_like(table.data)
-                d_table[row] = g[:, k * e:(k + 1) * e].sum(axis=0)
-                grads.append(d_table)
-            return (*grads, *self.location.param_grads(g[:, 3 * e:], scaled))
+            g = g.reshape(n_hours, n, self.out_dim)
+            per_hour = g[:, :, :3 * e].sum(axis=1)
+            grads = [segment_sum(per_hour[:, k * e:(k + 1) * e], ids[:, k], len(table.data))
+                     for k, table in enumerate(tables)]
+            d_loc = g[:, :, 3 * e:].sum(axis=0)
+            return (*grads, *self.location.param_grads(d_loc, scaled))
 
-        return Tensor._make(out, _weights(self), backward)
+        return Tensor._make(out.reshape(n_hours * n, self.out_dim), _weights(self), backward)
 
     def params(self):
         yield f"{self.name}.hour", self.hour_table

@@ -155,43 +155,17 @@ class Forecaster:
     def zero_grad(self) -> None:
         zero_grads(self.params.values())
 
-    # -- single steps ------------------------------------------------------
-
-    def encoder_step(self, p: Tensor, edge, h_prev: Tensor) -> Tensor:
-        """One history step: ``p`` joined to its graph features, then the recurrence.
-
-        ``edge`` is the graph layer's edge input as :meth:`forward` picks it.
-        """
-        if self.conv is None:
-            return self.encoder_gru.step(h_prev, p)
-        return self.encoder_gru.step(h_prev, concat([p, self.conv(p, self.layout, edge)]))
-
-    def decoder_step(self, xbar: Tensor, prev_y: Tensor, h_prev: Tensor, history: Tensor | None):
-        """One forecast step from the previous prediction and calendar features.
-
-        ``history`` is the encoder's hidden states stacked as (H, L, hidden);
-        only the attention decoder reads it.
-        """
-        h = self.decoder_gru.step(h_prev, concat([xbar, prev_y]))
-        if self.attention is not None:
-            if history is None:
-                raise ValueError("attention decoder needs the encoder history")
-            out = self.attention(history, h)
-        else:
-            out = h
-        return h, self.decoder_head(out)
-
     # -- full unroll -----------------------------------------------------------
 
     @single_threaded_blas()
     def forward(self, sample: WindowSample) -> Tensor:
         """Predictions for the forecast period, shape (F, L), on the tape.
 
-        The encoder consumes node attributes, embeddings and history targets
-        step by step; the decoder then feeds back its own outputs.  Inputs
-        from the forecast period other than the calendar/location features
-        are never read.  A window that does not fit the model raises
-        ``DataError``.
+        The encoder joins node attributes, embeddings and history targets of
+        as many hours as one graph-layer call takes, runs the graph layer on
+        their union, then the GRU hour by hour; the decoder feeds back its own
+        outputs.  Of the forecast period only the calendar is read.  A window
+        that does not fit the model raises ``DataError``.
         """
         cfg = self.config
         sample.validate()
@@ -210,24 +184,31 @@ class Forecaster:
             if got != expected:
                 raise DataError(f"graph mode 'edge-attrs' needs edge attributes of shape {expected}, got {got}")
 
-        xbar = [self.embed(int(hh), int(dw), int(mo), sample.coords)
-                for hh, dw, mo in sample.spacetime]
-
+        xbar = self.embed(sample.spacetime, sample.coords)
+        k = h_steps if self.layout is None else self.layout.hours_per_call(h_steps)
         h = Tensor(np.zeros((n, cfg.hidden)))
         history: list[Tensor] = []
-        for t in range(h_steps):
-            p = concat([Tensor(sample.x[t]), xbar[t], Tensor(sample.y_hist[t].reshape(n, 1))])
-            edge = Tensor(sample.edge_feats[t]) if cfg.graph_mode == "edge-attrs" else self.edge_coef
-            h = self.encoder_step(p, edge, h)
-            history.append(h)
+        for start in range(0, h_steps, k):
+            hours = min(k, h_steps - start)
+            nodes = concat([Tensor(sample.x[start:start + hours].reshape(hours * n, -1)),
+                            xbar.rows(start * n, (start + hours) * n),
+                            Tensor(sample.y_hist[start:start + hours].reshape(-1, 1))])
+            parts = [nodes]
+            if self.conv is not None:
+                edge = (np.tile(self.edge_coef, hours) if self.edge_coef is not None else
+                        Tensor(sample.edge_feats[start:start + hours].reshape(-1, len(EDGE_FEATURES))))
+                parts.append(self.conv(nodes, self.layout.union(hours), edge))
+            for t in range(hours):
+                h = self.encoder_gru.step(h, *(x.rows(t * n, (t + 1) * n) for x in parts))
+                history.append(h)
         # the decoder starts from the encoder's final per-step prediction
         prev = self.encoder_head(h)
 
         memory = stack(history) if self.attention is not None else None
-        dec_h = h
         outs: list[Tensor] = []
         for t in range(h_steps, h_steps + f_steps):
-            dec_h, prev = self.decoder_step(xbar[t], prev, dec_h, memory)
+            h = self.decoder_gru.step(h, xbar.rows(t * n, (t + 1) * n), prev)
+            prev = self.decoder_head(h if memory is None else self.attention(memory, h))
             outs.append(prev.reshape(n))
         return stack(outs)
 

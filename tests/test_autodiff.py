@@ -281,3 +281,48 @@ def test_backward_runs_blas_on_one_thread(blas_threads):
     Tensor._make(2.0 * x.data, (x,), backward).sum().backward()
     assert seen == [1]
     assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("leaf", [True, False])
+def test_row_blocks_add_into_their_rows(leaf):
+    # Adjacent (0:2, 2:4), overlapping (1:3) and repeated (2:4 twice) blocks of
+    # one parent, next to a use of the whole parent.
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    blocks = [(0, 2), (2, 4), (1, 3), (2, 4)]
+    probes = [rng.normal(size=(stop - start, 3)) for start, stop in blocks]
+    whole = rng.normal(size=(5, 3))
+
+    def loss():
+        parent = x if leaf else x * w
+        total = (parent * whole).sum()
+        for (start, stop), probe in zip(blocks, probes):
+            total = total + (parent.rows(start, stop) * probe).sum()
+        return total
+
+    assert_gradients_match(loss, {"x": x, "w": w})
+    expected = whole.copy()
+    for (start, stop), probe in zip(blocks, probes):
+        expected[start:stop] += probe
+    zero_grads([x, w])
+    loss().backward()
+    assert np.allclose(x.grad, expected if leaf else expected * w.data, rtol=1e-14)
+
+
+def test_row_block_copies_a_handed_gradient_before_adding():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    a = x * 2.0
+    out = a + a.rows(0, 4)   # ``+`` hands the seed as is to a, then to the block
+    seed = rng.normal(size=(4, 2))
+    out.backward(handed := seed.copy())
+    assert np.array_equal(handed, seed)
+    assert np.array_equal(x.grad, 2.0 * (seed + seed))
+
+
+def test_row_block_is_a_view_without_a_copy():
+    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    block = x.rows(1, 3)
+    assert np.shares_memory(block.data, x.data) and block.shape == (2, 3)
+    assert block.requires_grad and block._parents == (x,)

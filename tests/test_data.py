@@ -92,7 +92,7 @@ def window(h=3, f=2, n=4, d=2, e=5, **changes):
     fields = dict(
         x=rng.normal(size=(h, n, d)),
         y_hist=rng.normal(size=(h, n)),
-        spacetime=np.zeros((h + f, 3), dtype=np.int64),
+        spacetime=np.tile(np.array([0, 0, 1]), (h + f, 1)),
         coords=np.zeros((n, 2)),
         y_future=rng.normal(size=(f, n)),
         edge_feats=rng.normal(size=(h, e, 5)),
@@ -119,6 +119,21 @@ def test_consistent_window_validates():
 def test_inconsistent_shapes_rejected(changes, message):
     with pytest.raises(DataError, match=message):
         window(**changes).validate()
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, 24, "hour"), (0, -1, "hour"), (1, 7, "weekday"), (1, -1, "weekday"),
+    (2, 0, "month"), (2, 13, "month"),
+])
+def test_calendar_id_out_of_range_rejected(column, value, message):
+    sample = window()
+    sample.spacetime[3, column] = value
+    with pytest.raises(DataError, match=f"calendar id {value} at step 3 is not a valid {message}"):
+        sample.validate()
+
+
+def test_calendar_id_bounds_accepted():
+    window(spacetime=np.array([[0, 0, 1], [23, 6, 12], [0, 6, 1], [23, 0, 12], [12, 3, 6]])).validate()
 
 
 @pytest.mark.parametrize("field", ["x", "y_hist", "y_future", "edge_feats"])

@@ -6,7 +6,7 @@ import pytest
 
 from hazecast.autodiff import Tensor, stack
 from hazecast.data import WindowSample
-from hazecast.errors import NumericError
+from hazecast.errors import DataError, NumericError
 from hazecast.geo import Station, build_network, edge_attributes_at
 from hazecast.layers import (
     GraphLayout,
@@ -16,13 +16,14 @@ from hazecast.layers import (
     Mlp,
     ScalarGraphConv,
     SpaceTimeEmbedding,
+    UNION_EDGE_ROWS,
     TransformerConv,
     _segment_softmax,
 )
 from hazecast.model import Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
-from reference import ref_transformer_conv
+from reference import ref_embed, ref_transformer_conv
 
 
 def params_dict(layer):
@@ -472,6 +473,79 @@ class TestScalarGraphConv:
         assert_gradients_match(loss, tensors)
 
 
+# ---------------------------------------------------------------- hours as one disjoint union
+
+
+class TestGraphUnion:
+    def test_union_offsets_each_copy_and_is_built_once(self):
+        layout = GraphLayout(np.array([[0, 1], [2, 1], [1, 0]]), n_nodes=3)
+        union = layout.union(2)
+        assert union is layout.union(2) and layout.union(1) is layout
+        assert union.n_nodes == 6 and union.n_edges == 6
+        assert np.array_equal(np.column_stack((union.src, union.dst)),
+                              [[0, 1], [2, 1], [1, 0], [3, 4], [5, 4], [4, 3]])
+        assert np.array_equal(union.in_degree, np.tile(layout.in_degree, 2))
+
+    @pytest.mark.parametrize("n_edges, n_nodes, hours", [
+        (242, 30, UNION_EDGE_ROWS // 242),   # the reference size: 8 hours per call
+        (8946, 1000, 1),                     # forecast scale: one hour per call
+        (UNION_EDGE_ROWS, 10, 1),
+        (0, 3, 24),                          # no edges: every hour in one call
+        (2, 3, 24),
+    ])
+    def test_hours_per_call_bounded_by_edge_rows(self, n_edges, n_nodes, hours):
+        layout = GraphLayout(np.zeros((n_edges, 2)), n_nodes=n_nodes)
+        assert layout.hours_per_call(24) == hours
+        assert layout.hours_per_call(2) == min(2, hours)
+
+    @pytest.mark.parametrize("edges", [[[0, 1], [2, 1], [1, 0], [0, 2], [1, 2]], []])
+    @pytest.mark.parametrize("kind", ["transformer", "scalar"])
+    def test_union_call_equals_one_hour_calls(self, kind, edges):
+        # Forward values and input gradients are bitwise equal; a weight's
+        # gradient sums all hours in one product, in another order.
+        rng = np.random.default_rng(30 + len(edges))
+        hours, n = 3, 3
+        layout = GraphLayout(np.array(edges, dtype=np.int64).reshape(-1, 2), n_nodes=n)
+        e = layout.n_edges
+        nodes = Tensor(rng.normal(size=(hours * n, 4)), requires_grad=True)
+        if kind == "transformer":
+            conv = TransformerConv(rng, node_dim=4, out_dim=3, edge_dim=2)
+            feats = Tensor(rng.normal(size=(hours * e, 2)), requires_grad=True)
+            inputs = {"nodes": nodes, "edge_feats": feats}
+            union_edge, hour_edge = feats, (lambda t: feats.rows(t * e, (t + 1) * e))
+        else:
+            conv = ScalarGraphConv(rng, node_dim=4, out_dim=3)
+            coef = rng.uniform(0.2, 1.0, size=e)
+            inputs = {"nodes": nodes}
+            union_edge, hour_edge = np.tile(coef, hours), (lambda t: coef)
+        for _, t in conv.params():
+            t.data[...] = rng.normal(size=t.shape)
+        tensors = {**params_dict(conv), **inputs}
+        probe = rng.normal(size=(hours * n, 3))
+
+        def run(union):
+            for t in tensors.values():
+                t.grad = None
+            if union:
+                outs = [conv(nodes, layout.union(hours), union_edge)]
+            else:
+                outs = [conv(nodes.rows(t * n, (t + 1) * n), layout, hour_edge(t)) for t in range(hours)]
+            probes = np.split(probe, len(outs))
+            loss = (outs[0] * probes[0]).sum()
+            for o, p in zip(outs[1:], probes[1:]):
+                loss = loss + (o * p).sum()
+            loss.backward()
+            return np.concatenate([o.data for o in outs]), {name: t.grad.copy() for name, t in tensors.items()}
+
+        (out_union, grads_union), (out_hours, grads_hours) = run(True), run(False)
+        assert out_union.tobytes() == out_hours.tobytes()
+        for name, grad in grads_union.items():
+            if name in inputs:
+                assert grad.tobytes() == grads_hours[name].tobytes(), name
+            else:
+                assert np.allclose(grad, grads_hours[name], rtol=1e-13, atol=1e-14), name
+
+
 # ---------------------------------------------------------------- Luong attention
 
 
@@ -593,25 +667,23 @@ class TestSpaceTimeEmbedding:
         rng = np.random.default_rng(8)
         emb = SpaceTimeEmbedding(rng, embed_dim=8)
         coords = np.array([[25.5, 85.2], [24.8, 85.0]])
-        a = emb(13, 2, 7, coords).data
-        b = emb(13, 2, 7, coords).data
+        a = emb(np.array([[13, 2, 7]]), coords).data
+        b = emb(np.array([[13, 2, 7]]), coords).data
         assert np.array_equal(a, b)
         assert a.shape == (2, 32)
 
     def test_hour_change_touches_hour_block_only(self):
         rng = np.random.default_rng(8)
         emb = SpaceTimeEmbedding(rng, embed_dim=8)
-        coords = np.array([[25.5, 85.2]])
-        a = emb(0, 2, 7, coords).data
-        b = emb(1, 2, 7, coords).data
-        assert not np.allclose(a[:, :8], b[:, :8])
-        assert np.array_equal(a[:, 8:], b[:, 8:])
+        a, b = emb(np.array([[0, 2, 7], [1, 2, 7]]), np.array([[25.5, 85.2]])).data
+        assert not np.allclose(a[:8], b[:8])
+        assert np.array_equal(a[8:], b[8:])
 
     def test_matches_table_lookup_oracle(self):
         rng = np.random.default_rng(21)
         emb = SpaceTimeEmbedding(rng, embed_dim=4)
         lat, lon = 25.3, 84.9
-        vec = emb(17, 4, 11, np.array([[lat, lon]])).data[0]
+        vec = emb(np.array([[17, 4, 11]]), np.array([[lat, lon]])).data[0]
         expected = np.concatenate([
             emb.hour_table.data[17],
             emb.dow_table.data[4],
@@ -621,18 +693,35 @@ class TestSpaceTimeEmbedding:
         ])
         assert np.allclose(vec, expected, rtol=1e-14)
 
+    def test_all_hours_match_reference_row_for_row(self):
+        rng = np.random.default_rng(26)
+        emb = SpaceTimeEmbedding(rng, embed_dim=3)
+        emb.location.bias.data[...] = rng.normal(size=3)
+        spacetime = np.array([[23, 6, 12], [0, 0, 1], [23, 6, 12], [7, 3, 1], [0, 5, 6]])
+        coords = rng.uniform(-60.0, 60.0, size=(4, 2))
+        out = emb(spacetime, coords).data
+        weights = {name: t.data for name, t in emb.params()}
+        for s, (hour, dow, month) in enumerate(spacetime):
+            assert np.array_equal(out[4 * s:4 * (s + 1)], ref_embed(weights, hour, dow, month, coords))
+
     @pytest.mark.parametrize("kwargs", [
         dict(hour=24, dow=0, month=1),
         dict(hour=-1, dow=0, month=1),
         dict(hour=0, dow=7, month=1),
         dict(hour=0, dow=0, month=0),
         dict(hour=0, dow=0, month=13),
+        dict(hour=0, dow=-1, month=1),
     ])
     def test_out_of_range_rejected(self, kwargs):
-        rng = np.random.default_rng(0)
-        emb = SpaceTimeEmbedding(rng, embed_dim=4)
-        with pytest.raises(ValueError):
-            emb(coords=np.array([[0.0, 0.0]]), **kwargs)
+        # The window checks the ids, before any of them reaches the tables.
+        network, sample = reference_window(n_stations=4, steps=2, node_dim=2)
+        sample.spacetime[-1] = (kwargs["hour"], kwargs["dow"], kwargs["month"])
+        with pytest.raises(DataError, match="calendar"):
+            sample.validate()
+        model = Forecaster(ModelConfig(variant="gc_gru", hidden=3, history_steps=2, forecast_steps=2,
+                                       node_dim=2), network, seed=0)
+        with pytest.raises(DataError, match="calendar"):
+            model.predict(sample)
 
     def test_gradients(self):
         rng = np.random.default_rng(15)
@@ -641,7 +730,7 @@ class TestSpaceTimeEmbedding:
         probe = rng.normal(size=(2, 12))
 
         def loss():
-            return (emb(5, 3, 2, coords) * probe).sum()
+            return (emb(np.array([[5, 3, 2]]), coords) * probe).sum()
 
         assert_gradients_match(loss, params_dict(emb))
 
@@ -652,10 +741,8 @@ class TestSpaceTimeEmbedding:
         probes = rng.normal(size=(2, 3, 12))
 
         def loss():
-            # same hour and month in both calls, different day of week
-            first = emb(5, 3, 2, coords) * probes[0]
-            second = emb(5, 4, 2, coords) * probes[1]
-            return first.sum() + second.sum()
+            # same hour and month in both hours, different day of week
+            return (emb(np.array([[5, 3, 2], [5, 4, 2]]), coords) * probes.reshape(6, 12)).sum()
 
         assert_gradients_match(loss, params_dict(emb))
         hour_grad = emb.hour_table.grad
@@ -665,7 +752,7 @@ class TestSpaceTimeEmbedding:
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(24)
         emb = SpaceTimeEmbedding(rng, embed_dim=3)
-        out = emb(5, 3, 2, np.array([[25.5, 85.2], [24.8, 85.0]]))
+        out = emb(np.array([[5, 3, 2], [6, 3, 2]]), np.array([[25.5, 85.2], [24.8, 85.0]]))
         assert recorded_nodes(out, stop=()) == 1
 
 

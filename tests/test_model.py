@@ -135,7 +135,7 @@ class TestForward:
 
         monkeypatch.setattr(model, "embed", spy)
         model.predict(toy_sample(net))
-        assert seen and set(seen) == {1}
+        assert seen == [1]  # one call embeds every hour of the window
         assert blas_threads() == 2
 
     def test_single_forecast_step_shape_and_composition(self):
@@ -146,18 +146,22 @@ class TestForward:
         preds = model.predict(sample)
         assert preds.shape == (1, net.n_stations)
 
-        # hand-compose: encoder steps then one decoder step
+        # hand-compose one graph-layer call per hour, where forward joins all
+        # three hours into one call on their union, then one decoder step
+        assert model.layout.hours_per_call(cfg.history_steps) == cfg.history_steps
         n = net.n_stations
+        xbar = model.embed(sample.spacetime, sample.coords)
         h = Tensor(np.zeros((n, cfg.hidden)))
         history = []
         for t in range(cfg.history_steps):
-            xbar = model.embed(*map(int, sample.spacetime[t]), sample.coords)
-            p = concat([Tensor(sample.x[t]), xbar, Tensor(sample.y_hist[t].reshape(n, 1))])
-            h = model.encoder_step(p, Tensor(sample.edge_feats[t]), h)
+            p = concat([Tensor(sample.x[t]), xbar.rows(t * n, (t + 1) * n),
+                        Tensor(sample.y_hist[t].reshape(n, 1))])
+            h = model.encoder_gru.step(h, p, model.conv(p, model.layout, Tensor(sample.edge_feats[t])))
             history.append(h)
         yhat = model.encoder_head(h)
-        xbar = model.embed(*map(int, sample.spacetime[cfg.history_steps]), sample.coords)
-        _, out = model.decoder_step(xbar, yhat, h, stack(history))
+        t = cfg.history_steps
+        h = model.decoder_gru.step(h, xbar.rows(t * n, (t + 1) * n), yhat)
+        out = model.decoder_head(model.attention(stack(history), h))
         assert np.array_equal(preds[0], out.data.ravel())
 
     @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru", "wgc_gru", "gc_gru", "gru"])
@@ -290,6 +294,8 @@ class TestForward:
 
 class TestGradients:
     def test_end_to_end_gradients_small(self):
+        # Calendar-table rows the window never indexes must get an exactly
+        # zero gradient; every other entry is checked by central differences.
         net = toy_network(n=3, seed=30)
         model = Forecaster(config("agnn_gru", net, h=2, f=2, node_dim=2, hidden=3), net, seed=31)
         sample = toy_sample(net, h=2, f=2, node_dim=2, seed=32)
@@ -300,7 +306,31 @@ class TestGradients:
             diff = preds - truth
             return (diff * diff).mean()
 
-        assert_gradients_match(loss, model.params, rtol=1e-3, atol=1e-8)
+        model.zero_grad()
+        loss().backward()
+        indexed = dict(zip(("embed.hour", "embed.dow", "embed.month"),
+                           (sample.spacetime - np.array([0, 0, 1])).T))
+        checked = 0
+        for name, tensor in model.params.items():
+            rows = np.arange(len(tensor.data))
+            if name in indexed:
+                unused = np.setdiff1d(rows, indexed[name])
+                assert np.all(tensor.grad[unused] == 0.0), f"{name}: rows {unused} are never indexed"
+                rows = np.unique(indexed[name])
+            width = tensor.data[0].size
+            entries = (rows[:, None] * width + np.arange(width)).ravel()
+            flat = tensor.data.reshape(-1)
+            for k in entries:
+                orig = flat[k]
+                flat[k] = orig + 1e-5
+                up = loss().item()
+                flat[k] = orig - 1e-5
+                down = loss().item()
+                flat[k] = orig
+                fd, analytic = (up - down) / 2e-5, tensor.grad.reshape(-1)[k]
+                assert abs(analytic - fd) <= 1e-3 * max(abs(analytic), abs(fd)) + 1e-8, (name, k)
+            checked += len(entries)
+        assert checked < model.parameter_count()
 
 
 class TestCheckpoint:
