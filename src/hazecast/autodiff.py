@@ -8,8 +8,8 @@ with :func:`zero_grads` between optimizer steps.
 
 Only the primitives the forecasting layers and their losses need are
 implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, tanh, the
-sum and mean of all entries, joining 2-D tensors by columns, stacking along a
-new leading axis, row blocks, row gathering and reshaping.
+sum and mean of all entries, joining 2-D tensors by columns or rows, stacking
+along a new leading axis, row blocks, row gathering and reshaping.
 Row gathering sums its gradient through :func:`segment_sum`, which costs time
 and memory linear in the number of rows summed.  Everything runs
 single-threaded over numpy (see :func:`single_threaded_blas`), so identical
@@ -23,11 +23,11 @@ A layer can also record one fused node through :meth:`Tensor._make`, with
 every weight as a parent and a hand-derived backward; what such a node keeps
 alive until backward is whatever its backward closure refers to.  The layers
 of :mod:`hazecast.layers` do so and keep only small arrays: ``Linear`` its
-input; ``GruCell`` the joint input [h, input parts] and its three gates;
-``TransformerConv`` its (nodes, d) query terms and edge-input sums and its
-(edges, 1) attention weights; ``LuongAttention`` its (H, L) attention weights
-and (L, d) query, joint and output; ``SpaceTimeEmbedding`` its scaled
-coordinates and calendar ids.
+input; ``TransformerConv`` its (nodes, d) query terms and edge-input sums and
+its (edges, 1) attention weights; ``SpaceTimeEmbedding`` its scaled
+coordinates and calendar ids.  A recurrence (``GruCell.unroll``, the model's
+decoder) is one node that keeps each step's arrays in :class:`StepBuffers`,
+or nothing when it does not record.
 """
 
 from __future__ import annotations
@@ -134,9 +134,32 @@ def segment_sum(values, index, n_rows: int, cache: dict | None = None) -> np.nda
     return out.reshape((n_rows,) + values.shape[1:])
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Logistic function ``1 / (1 + exp(-v))`` of an array."""
-    return 1.0 / (1.0 + np.exp(-v))
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function ``1 / (1 + exp(-v))`` of an array, into ``out`` if given (may be ``v``)."""
+    out = np.exp(np.negative(v, out=out), out=out)
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+
+
+class StepBuffers:
+    """Each step's arrays of a recurrence, in (steps, rows, width) buffers made on first use.
+
+    A fused node writes step t's arrays into ``slot(name, t, shape)``, and its
+    backward their gradients into a second, short-lived set; each weight's
+    gradient is then one product over ``rows(name)``.  If a node with
+    ``parents`` does not record, all steps share one slot.
+    """
+
+    def __init__(self, steps: int, parents=None):
+        self.steps, self.all = steps, {}
+        self.keep = parents is None or (_grad_enabled and any(p.requires_grad for p in parents))
+
+    def slot(self, name: str, t: int, shape=()) -> np.ndarray:
+        if name not in self.all:
+            self.all[name] = np.empty((self.steps if self.keep else 1, *shape))
+        return self.all[name][t if self.keep else 0]
+
+    def rows(self, name: str) -> np.ndarray:
+        return self.all[name].reshape(-1, self.all[name].shape[-1])
 
 
 class Tensor:
@@ -298,12 +321,12 @@ class Tensor:
                     accumulate(parent, pg, node._rows)
 
 
-def concat(tensors) -> Tensor:
-    """Join 2-D tensors side by side, along their columns."""
+def concat(tensors, axis: int = 1) -> Tensor:
+    """Join 2-D tensors side by side, along their columns (or their rows, ``axis=0``)."""
     tensors = [Tensor._wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=1)
-    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
-    return Tensor._make(out_data, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=1)))
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return Tensor._make(out_data, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def stack(tensors) -> Tensor:

@@ -509,11 +509,12 @@ class WindowSample:
             raise DataError("inconsistent forecast target shape in window")
         if self.spacetime.shape != (h + f, 3):
             raise DataError("spacetime features must cover history + forecast")
-        bad = (self.spacetime < (0, 0, 1)) | (self.spacetime > (23, 6, 12))
-        if bad.any():
-            step, field = np.argwhere(bad)[0]
-            raise DataError(f"calendar id {self.spacetime[step, field]} at step {step} is not a valid "
-                            f"{('hour (0-23)', 'weekday (0-6)', 'month (1-12)')[field]}")
+        ids, fields = self.spacetime, ("hour (0-23)", "weekday (0-6)", "month (1-12)")
+        for bad, kind in ((~np.isfinite(ids) | (ids != np.round(ids)), "an integer"),
+                          ((ids < (0, 0, 1)) | (ids > (23, 6, 12)), "a valid")):
+            if bad.any():
+                step, field = np.argwhere(bad)[0]
+                raise DataError(f"calendar id {ids[step, field]} at step {step} is not {kind} {fields[field]}")
         for name, arr in (("x", self.x), ("y_hist", self.y_hist),
                           ("y_future", self.y_future), ("edge_feats", self.edge_feats)):
             if arr is not None and not np.all(np.isfinite(arr)):

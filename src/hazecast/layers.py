@@ -3,17 +3,19 @@
 Every layer owns its weights as :class:`~hazecast.autodiff.Tensor` leaves, so
 analytic gradients of any composition come from ``Tensor.backward``.
 :class:`Linear`, :class:`GruCell`, :class:`TransformerConv`,
-:class:`LuongAttention` and :class:`SpaceTimeEmbedding` each record one tape
-node per call, built with ``Tensor._make`` with every weight as a parent.
-The model calls the GRU and the attention once per hour, the embedding once
-per window and the graph layers once per union of hours
-(:meth:`GraphLayout.union`).  The affine map has one implementation,
-``Linear.apply`` and ``Linear.param_grads``, which the fused layers reuse.
-A hand-derived backward keeps only small arrays (each class says which) and
-recomputes the rest, so the tape holds no (E, width) or (history, nodes,
-width) array between forward and backward.  The graph layer applies its
-maps on the node side of the edge sums, so its per-edge arrays are as wide
-as its inputs, not its output.
+:class:`LuongAttention`, :class:`SpaceTimeEmbedding` and :class:`Mlp` each
+record one tape node per call, built with ``Tensor._make`` with every weight
+as a parent.  A GRU, attention or head step has one implementation, its
+class's ``_forward``, ``_backward`` and ``_param_grads``, which the
+recurrences (``GruCell.unroll``, the model's decoder) run per step.  The
+model calls the embedding once per window and the graph layers and the
+encoder unroll once per union of hours (:meth:`GraphLayout.union`).  The
+affine map has one implementation, ``Linear.apply`` and
+``Linear.param_grads``, which the fused layers reuse.  A hand-derived
+backward keeps only small arrays (each class says which) and recomputes the
+rest, so the tape holds no (E, width) array between forward and backward.
+The graph layer applies its maps on the node side of the edge sums, so its
+per-edge arrays are as wide as its inputs, not its output.
 Weight matrices are drawn uniformly from ±sqrt(1/fan_in) and biases start
 at zero.  Every map has a bias except the attention score and the graph
 layer's two key maps, whose bias a softmax would cancel, and its edge-message
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, segment_sum, sigmoid
+from .autodiff import StepBuffers, Tensor, segment_sum, sigmoid
 from .errors import NumericError
 
 LOCATION_SCALE = np.array([90.0, 180.0])  # degrees -> [-1, 1]
@@ -65,9 +67,9 @@ class Linear:
 
         return Tensor._make(self.apply(x.data), (x, *_weights(self)), backward)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The map on a plain array, for fused layers that record their own node."""
-        out = x @ self.weight.data.T
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The map on a plain array (into ``out``), for fused layers that record their own node."""
+        out = np.matmul(x, self.weight.data.T, out=out)
         if self.bias is not None:
             out += self.bias.data
         return out
@@ -98,9 +100,10 @@ class GruCell:
     Each output coordinate is a convex combination of the previous hidden
     state and a value in (-1, 1), so |h_i| never exceeds max(|h_prev,i|, 1).
 
-    ``step`` is one tape node, with its input x given as column blocks.  For
-    backward it keeps the joint input [h, x] and the update, reset and
-    candidate gates, each (rows, hidden).
+    ``unroll(h0, *parts)`` runs k steps as one tape node, its input given as
+    column blocks of k*rows rows, and ``step`` is one step of it.  Recording,
+    it keeps each step's joint input [h, x], gated input [reset * h, x] and
+    three gates, and backward gives each weight one product over k*rows rows.
     """
 
     def __init__(self, rng, input_dim: int, hidden_dim: int, name: str = "gru"):
@@ -112,37 +115,65 @@ class GruCell:
         self.w_reset = Linear(rng, joint, hidden_dim, name=f"{name}.reset")
         self.w_cand = Linear(rng, joint, hidden_dim, name=f"{name}.candidate")
 
-    def step(self, h_prev: Tensor, *parts: Tensor) -> Tensor:
-        widths = [x.shape[-1] for x in parts]
-        if h_prev.shape[-1] != self.hidden_dim or sum(widths) != self.input_dim:
-            raise ValueError(
-                f"{self.name}: expected hidden {self.hidden_dim} / input {self.input_dim}, "
-                f"got {h_prev.shape[-1]} / {sum(widths)}"
-            )
-        hd = self.hidden_dim
-        joint = np.concatenate([h_prev.data, *(x.data for x in parts)], axis=1)
-        _check_finite(f"{self.name} input", joint[:, hd:])
-        h = joint[:, :hd]
-        update = sigmoid(self.w_update.apply(joint))
-        reset = sigmoid(self.w_reset.apply(joint))
-        cand = np.tanh(self.w_cand.apply(np.concatenate([reset * h, joint[:, hd:]], axis=1)))
-        out = (1.0 - update) * h + update * cand
+    def unroll(self, h0: Tensor, *parts: Tensor) -> Tensor:
+        """The (k*rows, hidden) states of k steps from ``h0``; rows t*rows.. of each part are step t's."""
+        (n, hd), widths, k = h0.shape, [x.shape[-1] for x in parts], parts[0].shape[0] // max(1, h0.shape[0])
+        if hd != self.hidden_dim or sum(widths) != self.input_dim or k < 1 or {x.shape[0] for x in parts} != {k * n}:
+            raise ValueError(f"{self.name}: expected hidden {self.hidden_dim} / input {self.input_dim} over "
+                             f"{n} rows per step, got {h0.shape} / {[x.shape for x in parts]}")
+        parents, h, states = (h0, *parts, *_weights(self)), h0.data, np.empty((k, n, hd))
+        buf = StepBuffers(k, parents)
+        for t in range(k):
+            h = self._forward(buf, t, h, [x.data[t * n:(t + 1) * n] for x in parts], states[t])
 
         def backward(g):
-            d_update = g * (cand - h) * update * (1.0 - update)
-            d_cand = g * update * (1.0 - cand * cand)
-            d_gated = d_cand @ self.w_cand.weight.data
-            d_reset = d_gated[:, :hd] * h * reset * (1.0 - reset)
-            d_joint = d_update @ self.w_update.weight.data + d_reset @ self.w_reset.weight.data
-            d_h = d_joint[:, :hd] + g * (1.0 - update) + d_gated[:, :hd] * reset
-            d_x = d_joint[:, hd:] + d_gated[:, hd:]
-            gated = np.concatenate([reset * h, joint[:, hd:]], axis=1)
-            return (d_h, *np.split(d_x, np.cumsum(widths)[:-1], axis=1),
-                    *self.w_update.param_grads(d_update, joint),
-                    *self.w_reset.param_grads(d_reset, joint),
-                    *self.w_cand.param_grads(d_cand, gated))
+            grads, d_x, d_h = StepBuffers(k), np.empty((k, n, self.input_dim)), np.zeros((n, hd))
+            for t in reversed(range(k)):
+                d_h = self._backward(buf, grads, t, g[t * n:(t + 1) * n] + d_h, d_x[t])
+            d_x = np.split(d_x.reshape(k * n, -1), np.cumsum(widths)[:-1], axis=1)
+            return (d_h, *d_x, *self._param_grads(buf, grads))
 
-        return Tensor._make(out, (h_prev, *parts, *_weights(self)), backward)
+        return Tensor._make(states.reshape(k * n, hd), parents, backward)
+
+    step = unroll  # one step, for inputs of as many rows as the state
+
+    def _forward(self, buf: StepBuffers, t: int, h, parts, out: np.ndarray) -> np.ndarray:
+        """Step t from state ``h`` and input column blocks ``parts``, into ``out``."""
+        hd, n = self.hidden_dim, len(h)
+        joint, gated = (buf.slot(name, t, (n, hd + self.input_dim)) for name in ("joint", "gated"))
+        joint[:, :hd] = h  # read before ``out``, which may hold h, is written
+        np.concatenate(parts, axis=1, out=joint[:, hd:])
+        _check_finite(f"{self.name} input", joint[:, hd:])
+        h = joint[:, :hd]
+        update, reset, cand = (buf.slot(name, t, (n, hd)) for name in ("update", "reset", "cand"))
+        sigmoid(self.w_update.apply(joint, out=update), out=update)
+        sigmoid(self.w_reset.apply(joint, out=reset), out=reset)
+        np.multiply(reset, h, out=gated[:, :hd])
+        gated[:, hd:] = joint[:, hd:]
+        np.tanh(self.w_cand.apply(gated, out=cand), out=cand)
+        np.multiply(update, cand, out=out)
+        out += (1.0 - update) * h
+        return out
+
+    def _backward(self, buf: StepBuffers, grads: StepBuffers, t: int, g, d_x) -> np.ndarray:
+        """Step t's backward for state gradient ``g``: the gates' go into ``grads``, the
+        input's into ``d_x``; returns the previous state's."""
+        hd = self.hidden_dim
+        joint, update, reset, cand = (buf.slot(name, t) for name in ("joint", "update", "reset", "cand"))
+        h = joint[:, :hd]
+        d_update = np.multiply(g * (cand - h) * update, 1.0 - update, out=grads.slot("d_update", t, g.shape))
+        d_cand = np.multiply(g * update, 1.0 - cand * cand, out=grads.slot("d_cand", t, g.shape))
+        d_gated = d_cand @ self.w_cand.weight.data
+        d_reset = np.multiply(d_gated[:, :hd] * h * reset, 1.0 - reset, out=grads.slot("d_reset", t, g.shape))
+        d_joint = d_update @ self.w_update.weight.data + d_reset @ self.w_reset.weight.data
+        np.add(d_joint[:, hd:], d_gated[:, hd:], out=d_x)
+        return d_joint[:, :hd] + g * (1.0 - update) + d_gated[:, :hd] * reset
+
+    def _param_grads(self, buf: StepBuffers, grads: StepBuffers) -> tuple:
+        joint = buf.rows("joint")
+        return (*self.w_update.param_grads(grads.rows("d_update"), joint),
+                *self.w_reset.param_grads(grads.rows("d_reset"), joint),
+                *self.w_cand.param_grads(grads.rows("d_cand"), buf.rows("gated")))
 
     def params(self):
         for lin in (self.w_update, self.w_reset, self.w_cand):
@@ -345,9 +376,9 @@ class LuongAttention:
 
     A call is one tape node.  Scores and context are matrix products
     batched over rows (:func:`_scores`, :func:`_mix`) that build no (H, L, d)
-    array.  For backward it keeps the (H, L) weights, the projected query,
-    the joint [context, dec] and the output, each (L, width); the history's
-    gradient is one product batched over rows.
+    array.  Recording, each step keeps the (H, L) weights, the projected
+    query, the joint [context, dec] and the output, each (L, width); the
+    history's gradient over all steps is one product batched over rows.
     """
 
     def __init__(self, rng, hidden_dim: int, name: str = "attention"):
@@ -359,31 +390,52 @@ class LuongAttention:
     def __call__(self, history: Tensor, decoder_state: Tensor) -> Tensor:
         if history.shape[0] == 0:
             raise ValueError(f"{self.name}: empty encoder history")
-        hist, state = history.data, decoder_state.data
-        w_score = self.w_score.weight.data
-        query = state @ w_score
+        parents = (history, decoder_state, *_weights(self))
+        buf = StepBuffers(1, parents)
+
+        def backward(g):
+            grads = StepBuffers(1)
+            d_state = self._backward(buf, grads, 0, history.data, g)
+            return (self.history_grad(buf, grads), d_state, *self._param_grads(buf, grads))
+
+        return Tensor._make(self._forward(buf, 0, history.data, decoder_state.data), parents, backward)
+
+    def _forward(self, buf: StepBuffers, t: int, hist: np.ndarray, state: np.ndarray) -> np.ndarray:
+        n, hd = state.shape
+        query = np.matmul(state, self.w_score.weight.data, out=buf.slot("query", t, state.shape))
         logits = _scores(hist, query)
         _check_finite(f"{self.name} scores", logits)
         exp = np.exp(logits - logits.max(axis=0))
-        weights = exp / exp.sum(axis=0, keepdims=True)
-        joint = np.concatenate([_mix(weights, hist), state], axis=1)
-        out = np.tanh(self.w_out.apply(joint))
+        # (H, L) weights stored as (L, H), the layout of exp: _mix's summation order depends on it
+        weights = np.divide(exp, exp.sum(axis=0, keepdims=True), out=buf.slot("weights", t, (n, len(hist))).T)
+        joint = buf.slot("mixed", t, (n, 2 * hd))
+        joint[:, :hd], joint[:, hd:] = _mix(weights, hist), state
+        out = self.w_out.apply(joint, out=buf.slot("attended", t, state.shape))
+        return np.tanh(out, out=out)
 
-        def backward(g):
-            d_z = g * (1.0 - out * out)
-            d_joint = d_z @ self.w_out.weight.data
-            d_context = d_joint[:, :self.hidden_dim]
-            d_weights = _scores(hist, d_context)
-            d_logits = weights * (d_weights - (weights * d_weights).sum(axis=0))
-            d_query = _mix(d_logits, hist)
-            d_hist = None
-            if history.requires_grad:  # per row i: [weights, d_logits][:, i] @ [d_context; query][i]
-                d_hist = (np.stack((weights.T, d_logits.T), axis=2)
-                          @ np.stack((d_context, query), axis=1)).transpose(1, 0, 2)
-            d_state = d_joint[:, self.hidden_dim:] + d_query @ w_score.T
-            return (d_hist, d_state, state.T @ d_query, *self.w_out.param_grads(d_z, joint))
+    def _backward(self, buf: StepBuffers, grads: StepBuffers, t: int, hist, g) -> np.ndarray:
+        """Step t's backward for output gradient ``g``, into ``grads``; returns the decoder state's."""
+        hd, out, weights = self.hidden_dim, buf.slot("attended", t), buf.slot("weights", t).T
+        d_z = np.multiply(g, 1.0 - out * out, out=grads.slot("d_z", t, g.shape))
+        d_joint = np.matmul(d_z, self.w_out.weight.data, out=grads.slot("d_joint", t, (len(g), 2 * hd)))
+        d_weights = _scores(hist, d_joint[:, :hd])
+        d_logits = np.multiply(weights, d_weights - (weights * d_weights).sum(axis=0),
+                               out=grads.slot("d_logits", t, weights.T.shape).T)
+        d_query = grads.slot("d_query", t, g.shape)
+        d_query[...] = _mix(d_logits, hist)
+        return d_joint[:, hd:] + d_query @ self.w_score.weight.data.T
 
-        return Tensor._make(out, (history, decoder_state, *_weights(self)), backward)
+    def _param_grads(self, buf: StepBuffers, grads: StepBuffers) -> tuple:
+        joint = buf.rows("mixed")
+        return (joint[:, self.hidden_dim:].T @ grads.rows("d_query"), *self.w_out.param_grads(grads.rows("d_z"), joint))
+
+    def history_grad(self, buf: StepBuffers, grads: StepBuffers) -> np.ndarray:
+        """The (H, L, d) history gradient over all steps: per row i, one product of every
+        step's [weights, d_logits][:, i] and [d_context; query][i]."""
+        left = np.concatenate([a.transpose(1, 2, 0) for a in (buf.all["weights"], grads.all["d_logits"])], axis=2)
+        right = np.concatenate([a.transpose(1, 0, 2) for a in (grads.all["d_joint"][..., :self.hidden_dim],
+                                                               buf.all["query"])], axis=1)
+        return (left @ right).transpose(1, 0, 2)
 
     def params(self):
         yield from self.w_score.params()
@@ -438,7 +490,10 @@ class SpaceTimeEmbedding:
 
 
 class Mlp:
-    """Two-layer perceptron head: affine, tanh, affine to one output per row."""
+    """Two-layer perceptron head: affine, tanh, affine to one output per row.
+
+    A call is one tape node; recording, each step keeps its tanh layer.
+    """
 
     def __init__(self, rng, in_dim: int, hidden_dim: int, name: str = "mlp"):
         self.name = name
@@ -446,8 +501,31 @@ class Mlp:
         self.out = Linear(rng, hidden_dim, 1, name=f"{name}.out")
 
     def __call__(self, x: Tensor) -> Tensor:
-        _check_finite(f"{self.name} input", x.data)
-        return self.out(self.hidden(x).tanh())
+        parents = (x, *_weights(self))
+        buf = StepBuffers(1, parents)
+
+        def backward(g):
+            grads = StepBuffers(1)
+            return (self._backward(buf, grads, 0, g), *self._param_grads(buf, grads, x.data))
+
+        return Tensor._make(self._forward(buf, 0, x.data), parents, backward)
+
+    def _forward(self, buf: StepBuffers, t: int, x: np.ndarray) -> np.ndarray:
+        _check_finite(f"{self.name} input", x)
+        hidden = self.hidden.apply(x, out=buf.slot("hidden", t, (len(x), self.out.in_dim)))
+        return self.out.apply(np.tanh(hidden, out=hidden))
+
+    def _backward(self, buf: StepBuffers, grads: StepBuffers, t: int, g) -> np.ndarray:
+        """Step t's backward for output gradient ``g`` (rows, 1), into ``grads``; returns the input's."""
+        hidden = buf.slot("hidden", t)
+        grads.slot("d_out", t, g.shape)[...] = g
+        d_hidden = np.multiply(g @ self.out.weight.data, 1.0 - hidden * hidden, out=grads.slot("d_hidden", t, hidden.shape))
+        return d_hidden @ self.hidden.weight.data
+
+    def _param_grads(self, buf: StepBuffers, grads: StepBuffers, x_rows: np.ndarray) -> tuple:
+        """Gradients over every step's rows, for the inputs ``x_rows`` of all steps."""
+        return (*self.hidden.param_grads(grads.rows("d_hidden"), x_rows),
+                *self.out.param_grads(grads.rows("d_out"), buf.rows("hidden")))
 
     def params(self):
         yield from self.hidden.params()

@@ -19,7 +19,8 @@ gru      no             none
 The decoder runs autoregressively on its own previous output (starting from
 the encoder's final per-step prediction) and never reads node or edge
 attributes from the forecast period; only the calendar/location embeddings
-are available there.
+are available there.  The encoder GRU is one tape node per union of hours
+and the decoder one per window, each keeping no per-step arrays in ``predict``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, no_grad, single_threaded_blas, stack, zero_grads
+from .autodiff import StepBuffers, Tensor, concat, no_grad, single_threaded_blas, zero_grads
 from .container import load_arrays, save_arrays
 from .data import WindowSample
 from .errors import DataError, UsageError
@@ -43,6 +44,7 @@ from .layers import (
     ScalarGraphConv,
     SpaceTimeEmbedding,
     TransformerConv,
+    _weights,
 )
 
 CHECKPOINT_VERSION = 5
@@ -163,9 +165,9 @@ class Forecaster:
 
         The encoder joins node attributes, embeddings and history targets of
         as many hours as one graph-layer call takes, runs the graph layer on
-        their union, then the GRU hour by hour; the decoder feeds back its own
-        outputs.  Of the forecast period only the calendar is read.  A window
-        that does not fit the model raises ``DataError``.
+        their union, then unrolls the GRU over those hours; the decoder feeds
+        back its own outputs.  Of the forecast period only the calendar is
+        read.  A window that does not fit the model raises ``DataError``.
         """
         cfg = self.config
         sample.validate()
@@ -187,7 +189,7 @@ class Forecaster:
         xbar = self.embed(sample.spacetime, sample.coords)
         k = h_steps if self.layout is None else self.layout.hours_per_call(h_steps)
         h = Tensor(np.zeros((n, cfg.hidden)))
-        history: list[Tensor] = []
+        chunks: list[Tensor] = []
         for start in range(0, h_steps, k):
             hours = min(k, h_steps - start)
             nodes = concat([Tensor(sample.x[start:start + hours].reshape(hours * n, -1)),
@@ -198,19 +200,47 @@ class Forecaster:
                 edge = (np.tile(self.edge_coef, hours) if self.edge_coef is not None else
                         Tensor(sample.edge_feats[start:start + hours].reshape(-1, len(EDGE_FEATURES))))
                 parts.append(self.conv(nodes, self.layout.union(hours), edge))
-            for t in range(hours):
-                h = self.encoder_gru.step(h, *(x.rows(t * n, (t + 1) * n) for x in parts))
-                history.append(h)
+            chunks.append(self.encoder_gru.unroll(h, *parts))
+            h = chunks[-1].rows((hours - 1) * n, hours * n)
+        memory = concat(chunks, axis=0) if self.attention is not None else None
         # the decoder starts from the encoder's final per-step prediction
-        prev = self.encoder_head(h)
+        return self.decode(h, self.encoder_head(h), xbar.rows(h_steps * n, (h_steps + f_steps) * n), memory)
 
-        memory = stack(history) if self.attention is not None else None
-        outs: list[Tensor] = []
-        for t in range(h_steps, h_steps + f_steps):
-            h = self.decoder_gru.step(h, xbar.rows(t * n, (t + 1) * n), prev)
-            prev = self.decoder_head(h if memory is None else self.attention(memory, h))
-            outs.append(prev.reshape(n))
-        return stack(outs)
+    def decode(self, h0: Tensor, prev0: Tensor, inputs: Tensor, memory: Tensor | None) -> Tensor:
+        """The (F, L) predictions of the decoder GRU, attention and head, as one tape node.
+
+        Hour t reads rows t*L.. of ``inputs`` and the previous prediction, and
+        the attention the (H*L, hidden) encoder states ``memory``.  Backward
+        gives each weight one product over F*L rows (see each part's class).
+        """
+        gru, head, attention = self.decoder_gru, self.decoder_head, self.attention
+        steps, (n, hd) = self.config.forecast_steps, h0.shape
+        parents = (h0, prev0, inputs, *_weights(gru), *_weights(head))
+        parents += () if attention is None else (*_weights(attention), memory)
+        buf = StepBuffers(steps, parents)  # the three parts' buffer names differ
+        hist = None if attention is None else memory.data.reshape(-1, n, hd)
+        x, preds, h, prev = inputs.data, np.empty((steps, n)), h0.data, prev0.data
+        for t in range(steps):
+            h = gru._forward(buf, t, h, (x[t * n:(t + 1) * n], prev), buf.slot("state", t, (n, hd)))
+            prev = head._forward(buf, t, h if attention is None else attention._forward(buf, t, hist, h))
+            preds[t] = prev[:, 0]
+
+        def backward(g):
+            grads, d_x = StepBuffers(steps), np.empty((steps, n, gru.input_dim))
+            d_h, d_prev = np.zeros((n, hd)), np.zeros((n, 1))
+            for t in reversed(range(steps)):
+                d_a = head._backward(buf, grads, t, g[t][:, None] + d_prev)
+                if attention is not None:
+                    d_a = attention._backward(buf, grads, t, hist, d_a)
+                d_h = gru._backward(buf, grads, t, d_a + d_h, d_x[t])
+                d_prev = d_x[t, :, -1:]
+            out = [d_h, d_prev, d_x.reshape(steps * n, -1)[:, :-1], *gru._param_grads(buf, grads),
+                   *head._param_grads(buf, grads, buf.rows("state" if attention is None else "attended"))]
+            if attention is not None:
+                out += [*attention._param_grads(buf, grads), attention.history_grad(buf, grads).reshape(-1, hd)]
+            return out
+
+        return Tensor._make(preds, parents, backward)
 
     def predict(self, sample: WindowSample) -> np.ndarray:
         """Forward pass without recording gradients; returns an (F, L) array."""

@@ -132,6 +132,19 @@ def test_calendar_id_out_of_range_rejected(column, value, message):
         sample.validate()
 
 
+@pytest.mark.parametrize("value", [12.7, np.nan, np.inf])
+def test_non_integer_calendar_id_rejected(value):
+    sample = window(spacetime=np.tile(np.array([0.0, 0.0, 1.0]), (5, 1)))
+    sample.validate()  # whole numbers in a float array convert exactly
+    sample.spacetime[3, 0] = value
+    with pytest.raises(DataError, match=f"calendar id {value} at step 3 is not an integer hour"):
+        sample.validate()
+
+
+def test_int32_calendar_ids_accepted():
+    window(spacetime=np.array([[0, 0, 1], [23, 6, 12], [0, 6, 1], [23, 0, 12], [12, 3, 6]], dtype=np.int32)).validate()
+
+
 def test_calendar_id_bounds_accepted():
     window(spacetime=np.array([[0, 0, 1], [23, 6, 12], [0, 6, 1], [23, 0, 12], [12, 3, 6]])).validate()
 

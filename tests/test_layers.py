@@ -1,10 +1,11 @@
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor, stack
+from hazecast.autodiff import Tensor, no_grad, stack
 from hazecast.data import WindowSample
 from hazecast.errors import DataError, NumericError
 from hazecast.geo import Station, build_network, edge_attributes_at
@@ -132,6 +133,40 @@ class TestGruCell:
         h_prev = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         assert recorded_nodes(cell.step(h_prev, x), stop=(h_prev, x)) == 1
+
+
+    @pytest.mark.parametrize("steps", [1, 3, 8])
+    def test_unroll_gradients(self, steps):
+        rng = np.random.default_rng(30 + steps)
+        cell = GruCell(rng, input_dim=3, hidden_dim=4)
+        h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        parts = [Tensor(rng.normal(size=(steps * 2, w)), requires_grad=True) for w in (2, 1)]
+        probe = rng.normal(size=(steps * 2, 4))
+
+        def loss():
+            return (cell.unroll(h0, *parts) * probe).sum()
+
+        tensors = params_dict(cell)
+        tensors["h0"], tensors["part0"], tensors["part1"] = h0, *parts
+        assert_gradients_match(loss, tensors)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_unroll_equals_steps_bitwise(self, record):
+        rng = np.random.default_rng(33)
+        cell = GruCell(rng, input_dim=3, hidden_dim=4)
+        h = h0 = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        parts = [Tensor(rng.normal(size=(6 * 5, w))) for w in (2, 1)]
+        with contextlib.nullcontext() if record else no_grad():
+            states = cell.unroll(h0, *parts)
+        assert recorded_nodes(states, stop=(h0,)) == int(record)
+        for t in range(6):
+            h = cell.step(h, *(Tensor(x.data[t * 5:(t + 1) * 5]) for x in parts))
+            assert states.data[t * 5:(t + 1) * 5].tobytes() == h.data.tobytes()
+
+    def test_unroll_rejects_ragged_inputs(self):
+        cell = GruCell(np.random.default_rng(0), input_dim=3, hidden_dim=4)
+        with pytest.raises(ValueError):
+            cell.unroll(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 1))))
 
 
 # ---------------------------------------------------------------- graph layout
@@ -814,19 +849,20 @@ def test_seeded_construction_is_bit_identical():
 # ---------------------------------------------------------------- tape memory
 
 
-def reference_window(seed=0, n_stations=30, steps=24, node_dim=9):
+def reference_window(seed=0, n_stations=30, steps=24, node_dim=9, forecast_steps=None):
     """A random agnn_gru window at the reference size: 30 stations, ~260 edges, H = F = 24."""
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-150.0, 150.0, size=(n_stations, 2)) / 111.0  # ~300 km square
     stations = [Station(f"s{k}", 25.0 + dy, 85.0 + dx) for k, (dy, dx) in enumerate(offsets)]
     network = build_network(stations, threshold_km=110.0)
+    total = steps + (steps if forecast_steps is None else forecast_steps)
     sample = WindowSample(
         x=rng.normal(size=(steps, n_stations, node_dim)),
         y_hist=rng.normal(size=(steps, n_stations)),
-        spacetime=np.column_stack([rng.integers(0, 24, 2 * steps), rng.integers(0, 7, 2 * steps),
-                                   rng.integers(1, 13, 2 * steps)]),
+        spacetime=np.column_stack([rng.integers(0, 24, total), rng.integers(0, 7, total),
+                                   rng.integers(1, 13, total)]),
         coords=network.coordinates(),
-        y_future=rng.normal(size=(steps, n_stations)),
+        y_future=rng.normal(size=(total - steps, n_stations)),
         edge_feats=edge_attributes_at(network, rng.normal(0.0, 3.0, size=(steps, n_stations, 2))),
     )
     return network, sample
@@ -849,3 +885,32 @@ def test_tape_memory_of_one_training_window():
     loss.backward()
     assert all(t.grad is not None for t in model.params.values())
     assert held <= 16e6, f"tape holds {held / 1e6:.1f} MB between forward and backward"
+
+
+def test_train_step_records_few_tape_nodes():
+    # One node per recurrence: the embedding, per 8-hour union a join, a row
+    # block, a conv call and a GRU unroll, the head, the decoder and the loss.
+    network, sample = reference_window()
+    config = ModelConfig(variant="agnn_gru", hidden=8, history_steps=24, forecast_steps=24, node_dim=9)
+    model = Forecaster(config, network, seed=0)
+    diff = model.forward(sample) - Tensor(sample.y_future)
+    assert recorded_nodes((diff * diff).mean(), stop=()) <= 40
+
+
+def test_predict_keeps_no_per_step_arrays():
+    # Under no_grad the recurrences reuse one step's buffers, so 20 more forecast
+    # hours cost their calendar rows (1 MB here), not 20 hours of gates (~24 MB).
+    peaks = []
+    for forecast_steps in (4, 24):
+        network, sample = reference_window(n_stations=200, forecast_steps=forecast_steps)
+        config = ModelConfig(variant="agnn_gru", hidden=64, history_steps=24,
+                             forecast_steps=forecast_steps, node_dim=9)
+        model = Forecaster(config, network, seed=0)
+        model.predict(sample)
+        tracemalloc.start()
+        try:
+            model.predict(sample)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], f"predict peaks {peaks[0] / 1e6:.1f} MB at F=4, {peaks[1] / 1e6:.1f} MB at F=24"

@@ -6,10 +6,12 @@ from hazecast.container import save_arrays
 from hazecast.data import WindowSample
 from hazecast.errors import DataError, UsageError
 from hazecast.geo import Station, build_network, edge_attributes_at
+from hazecast.layers import GraphLayout
 from hazecast.model import CHECKPOINT_VERSION, EMBED_DIM, VARIANTS, Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
 from reference import ref_forward
+from test_layers import recorded_nodes
 
 
 def toy_network(n=3, seed=0):
@@ -200,6 +202,38 @@ class TestForward:
         assert preds.tobytes() == model.forward(sample).data.tobytes()
         assert model.predict(sample).tobytes() == preds.tobytes()
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("stations, hours_per_call", [(4, 4), (40, 1)])
+    def test_predict_bit_identical_to_taped_forward_per_union(self, variant, stations, hours_per_call):
+        # 4 stations (12 edges) run the graph layer once on the union of all
+        # 4 hours, 40 (1560 edges) once per hour; predict reuses step buffers.
+        net = toy_network(n=stations, seed=5)
+        model = Forecaster(config(variant, net, h=4, f=3), net if variant != "gru" else None, seed=6)
+        assert GraphLayout(net.edges, stations).hours_per_call(4) == hours_per_call
+        sample = toy_sample(net, h=4, f=3, seed=7)
+        preds = model.predict(sample)
+        assert preds.tobytes() == model.forward(sample).data.tobytes()
+
+    @pytest.mark.parametrize("value", [12.7, np.nan])
+    def test_non_integer_calendar_id_rejected(self, value):
+        net = toy_network()
+        model = Forecaster(config("gc_gru", net), net, seed=0)
+        sample = toy_sample(net)
+        sample.spacetime = sample.spacetime.astype(float)
+        sample.spacetime[3, 0] = value
+        with pytest.raises(DataError, match=f"calendar id {value} at step 3 is not an integer hour"):
+            sample.validate()
+        with pytest.raises(DataError, match="is not an integer hour"):
+            model.predict(sample)
+
+    def test_int32_calendar_ids_accepted(self):
+        net = toy_network()
+        model = Forecaster(config("gc_gru", net), net, seed=0)
+        sample = toy_sample(net)
+        base = model.predict(sample)
+        sample.spacetime = sample.spacetime.astype(np.int32)
+        assert model.predict(sample).tobytes() == base.tobytes()
+
     def test_forecast_period_inputs_never_read(self):
         net = toy_network()
         model = Forecaster(config("agnn_gru", net), net, seed=8)
@@ -331,6 +365,31 @@ class TestGradients:
                 assert abs(analytic - fd) <= 1e-3 * max(abs(analytic), abs(fd)) + 1e-8, (name, k)
             checked += len(entries)
         assert checked < model.parameter_count()
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru"])
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_gradients(self, variant, f):
+        net = toy_network()
+        model = Forecaster(config(variant, net, f=f, hidden=4), net, seed=50)
+        rng = np.random.default_rng(51 + f)
+        n = net.n_stations
+        h0 = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        prev0 = Tensor(rng.normal(size=(n, 1)), requires_grad=True)
+        inputs = Tensor(rng.normal(size=(f * n, model.embed.out_dim)), requires_grad=True)
+        memory = Tensor(rng.normal(size=(3 * n, 4)), requires_grad=True) if model.attention else None
+        probe = rng.normal(size=(f, n))
+
+        def loss():
+            return (model.decode(h0, prev0, inputs, memory) * probe).sum()
+
+        tensors = {name: t for name, t in model.params.items() if name.startswith("decoder.")}
+        tensors.update(h0=h0, prev0=prev0, inputs=inputs)
+        if memory is not None:
+            tensors["memory"] = memory
+        assert_gradients_match(loss, tensors)
+        assert recorded_nodes(model.decode(h0, prev0, inputs, memory), stop=[h0, prev0, inputs, memory]) == 1
 
 
 class TestCheckpoint:
