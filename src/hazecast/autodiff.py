@@ -8,8 +8,8 @@ with :func:`zero_grads` between optimizer steps.
 
 Only the primitives the forecasting layers and their losses need are
 implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, tanh, the
-sum and mean of all entries, joining 2-D tensors by columns or rows, stacking
-along a new leading axis, row blocks, row gathering and reshaping.
+sum and mean of all entries, joining 2-D tensors by columns or rows, row
+blocks and row gathering.
 Row gathering sums its gradient through :func:`segment_sum`, which costs time
 and memory linear in the number of rows summed.  Everything runs
 single-threaded over numpy (see :func:`single_threaded_blas`), so identical
@@ -25,9 +25,10 @@ alive until backward is whatever its backward closure refers to.  The layers
 of :mod:`hazecast.layers` do so and keep only small arrays: ``Linear`` its
 input; ``TransformerConv`` its (nodes, d) query terms and edge-input sums and
 its (edges, 1) attention weights; ``SpaceTimeEmbedding`` its scaled
-coordinates and calendar ids.  A recurrence (``GruCell.unroll``, the model's
-decoder) is one node that keeps each step's arrays in :class:`StepBuffers`,
-or nothing when it does not record.
+coordinates and calendar ids.  A recurrence (``GruCell.unroll`` over a
+window's H hours, the model's decoder over its F hours) is one node that
+keeps each step's arrays in :class:`StepBuffers`, or nothing when it does not
+record.
 """
 
 from __future__ import annotations
@@ -242,10 +243,6 @@ class Tensor:
 
     # -- shape manipulation ---------------------------------------------------
 
-    def reshape(self, *shape):
-        out_data = self.data.reshape(shape)
-        return Tensor._make(out_data, (self,), lambda g: (g.reshape(self.shape),))
-
     def rows(self, start: int, stop: int):
         """Rows ``start:stop`` as a view; backward adds the gradient into those rows only."""
         out = Tensor._make(self.data[start:stop], (self,), lambda g: (g,))
@@ -327,12 +324,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
     return Tensor._make(out_data, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=axis)))
-
-
-def stack(tensors) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis."""
-    tensors = [Tensor._wrap(t) for t in tensors]
-    return Tensor._make(np.stack([t.data for t in tensors]), tuple(tensors), lambda g: tuple(g))
 
 
 def zero_grads(tensors) -> None:

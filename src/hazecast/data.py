@@ -623,31 +623,34 @@ class PreparedData:
             raise DataError(f"{path}: not a prepared-data cache")
         if meta.get("cache_version") != CACHE_VERSION:
             raise DataError(f"{path}: unsupported cache version {meta.get('cache_version')}")
-        stats = StandardizationStats(
-            features=tuple(meta["features_kept"]),
-            mean=arrays["node_mean"],
-            std=arrays["node_std"],
-            dropped=tuple(meta["features_dropped"]),
-        )
-        splits = {name: (int(lo), int(hi))
-                  for name, (lo, hi) in zip(SPLIT_NAMES, arrays["split_bounds"])}
-        timestamps = arrays["timestamps"].astype("datetime64[m]")
-        return cls(
-            timestamps=timestamps,
-            station_ids=list(meta["station_ids"]),
-            coords=arrays["coords"],
-            x=arrays["x"],
-            y=arrays["y"],
-            spacetime=spacetime_features(timestamps),
-            wind=arrays["wind"],
-            edge_mean=arrays["edge_mean"],
-            edge_std=arrays["edge_std"],
-            stats=stats,
-            splits=splits,
-            cadence_hours=float(meta["cadence_hours"]),
-            timezone=meta["timezone"],
-            threshold_km=float(meta["threshold_km"]),
-        )
+        try:
+            stats = StandardizationStats(
+                features=tuple(meta["features_kept"]),
+                mean=arrays["node_mean"],
+                std=arrays["node_std"],
+                dropped=tuple(meta["features_dropped"]),
+            )
+            splits = {name: (int(lo), int(hi))
+                      for name, (lo, hi) in zip(SPLIT_NAMES, arrays["split_bounds"])}
+            timestamps = arrays["timestamps"].astype("datetime64[m]")
+            return cls(
+                timestamps=timestamps,
+                station_ids=list(meta["station_ids"]),
+                coords=arrays["coords"],
+                x=arrays["x"],
+                y=arrays["y"],
+                spacetime=spacetime_features(timestamps),
+                wind=arrays["wind"],
+                edge_mean=arrays["edge_mean"],
+                edge_std=arrays["edge_std"],
+                stats=stats,
+                splits=splits,
+                cadence_hours=float(meta["cadence_hours"]),
+                timezone=meta["timezone"],
+                threshold_km=float(meta["threshold_km"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"{path}: cache lacks the metadata key or array {exc}") from None
 
 
 def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedData, dict]:

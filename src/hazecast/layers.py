@@ -8,8 +8,8 @@ record one tape node per call, built with ``Tensor._make`` with every weight
 as a parent.  A GRU, attention or head step has one implementation, its
 class's ``_forward``, ``_backward`` and ``_param_grads``, which the
 recurrences (``GruCell.unroll``, the model's decoder) run per step.  The
-model calls the embedding once per window and the graph layers and the
-encoder unroll once per union of hours (:meth:`GraphLayout.union`).  The
+model calls the embedding and the encoder unroll once per window and the
+graph layers once per union of hours (:meth:`GraphLayout.union`).  The
 affine map has one implementation, ``Linear.apply`` and
 ``Linear.param_grads``, which the fused layers reuse.  A hand-derived
 backward keeps only small arrays (each class says which) and recomputes the

@@ -19,8 +19,10 @@ gru      no             none
 The decoder runs autoregressively on its own previous output (starting from
 the encoder's final per-step prediction) and never reads node or edge
 attributes from the forecast period; only the calendar/location embeddings
-are available there.  The encoder GRU is one tape node per union of hours
-and the decoder one per window, each keeping no per-step arrays in ``predict``.
+are available there.  The graph layer reads data only, never the recurrent
+state, so the encoder runs it first, once per union of hours, and then the
+GRU over all H hours as one tape node.  The decoder is one node per window;
+neither recurrence keeps per-step arrays in ``predict``.
 """
 
 from __future__ import annotations
@@ -164,10 +166,11 @@ class Forecaster:
         """Predictions for the forecast period, shape (F, L), on the tape.
 
         The encoder joins node attributes, embeddings and history targets of
-        as many hours as one graph-layer call takes, runs the graph layer on
-        their union, then unrolls the GRU over those hours; the decoder feeds
-        back its own outputs.  Of the forecast period only the calendar is
-        read.  A window that does not fit the model raises ``DataError``.
+        all H hours once, calls the graph layer on row blocks of that join,
+        one per union of hours, and unrolls the GRU once over all H hours; its
+        states are the attention's memory.  The decoder feeds back its own
+        outputs.  Of the forecast period only the calendar is read.  A window
+        that does not fit the model raises ``DataError``.
         """
         cfg = self.config
         sample.validate()
@@ -186,32 +189,29 @@ class Forecaster:
             if got != expected:
                 raise DataError(f"graph mode 'edge-attrs' needs edge attributes of shape {expected}, got {got}")
 
-        xbar = self.embed(sample.spacetime, sample.coords)
-        k = h_steps if self.layout is None else self.layout.hours_per_call(h_steps)
-        h = Tensor(np.zeros((n, cfg.hidden)))
-        chunks: list[Tensor] = []
-        for start in range(0, h_steps, k):
-            hours = min(k, h_steps - start)
-            nodes = concat([Tensor(sample.x[start:start + hours].reshape(hours * n, -1)),
-                            xbar.rows(start * n, (start + hours) * n),
-                            Tensor(sample.y_hist[start:start + hours].reshape(-1, 1))])
-            parts = [nodes]
-            if self.conv is not None:
+        xbar, hn = self.embed(sample.spacetime, sample.coords), h_steps * n
+        nodes = concat([Tensor(sample.x.reshape(hn, -1)), xbar.rows(0, hn), Tensor(sample.y_hist.reshape(hn, 1))])
+        parts = [nodes]
+        if self.conv is not None:
+            k, convs = self.layout.hours_per_call(h_steps), []
+            for start in range(0, h_steps, k):
+                hours = min(k, h_steps - start)
                 edge = (np.tile(self.edge_coef, hours) if self.edge_coef is not None else
                         Tensor(sample.edge_feats[start:start + hours].reshape(-1, len(EDGE_FEATURES))))
-                parts.append(self.conv(nodes, self.layout.union(hours), edge))
-            chunks.append(self.encoder_gru.unroll(h, *parts))
-            h = chunks[-1].rows((hours - 1) * n, hours * n)
-        memory = concat(chunks, axis=0) if self.attention is not None else None
+                convs.append(self.conv(nodes.rows(start * n, (start + hours) * n), self.layout.union(hours), edge))
+            parts.append(concat(convs, axis=0))
+        memory = self.encoder_gru.unroll(Tensor(np.zeros((n, cfg.hidden))), *parts)
+        h = memory.rows(hn - n, hn)
         # the decoder starts from the encoder's final per-step prediction
-        return self.decode(h, self.encoder_head(h), xbar.rows(h_steps * n, (h_steps + f_steps) * n), memory)
+        return self.decode(h, self.encoder_head(h), xbar.rows(hn, (h_steps + f_steps) * n), memory)
 
     def decode(self, h0: Tensor, prev0: Tensor, inputs: Tensor, memory: Tensor | None) -> Tensor:
         """The (F, L) predictions of the decoder GRU, attention and head, as one tape node.
 
         Hour t reads rows t*L.. of ``inputs`` and the previous prediction, and
-        the attention the (H*L, hidden) encoder states ``memory``.  Backward
-        gives each weight one product over F*L rows (see each part's class).
+        the attention, if any, the (H*L, hidden) encoder states ``memory``.
+        Backward gives each weight one product over F*L rows (see each part's
+        class).
         """
         gru, head, attention = self.decoder_gru, self.decoder_head, self.attention
         steps, (n, hd) = self.config.forecast_steps, h0.shape
@@ -266,9 +266,11 @@ class Forecaster:
             raise DataError(f"{path}: not a model checkpoint")
         if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {meta.get('checkpoint_version')}")
+        if not isinstance(meta.get("config"), dict):
+            raise DataError(f"{path}: checkpoint has no config")
         try:
             config = ModelConfig(**meta["config"])
-        except TypeError as exc:
+        except (TypeError, UsageError) as exc:
             raise DataError(f"{path}: checkpoint config does not fit this model: {exc}") from None
         model = cls(config, network=network, seed=0)
         missing = set(model.params) - set(arrays)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -739,4 +740,24 @@ def test_cache_of_another_version_refused(prepared, tmp_path):
     arrays, meta = load_arrays(path)
     save_arrays(path, arrays, {**meta, "cache_version": 1})
     with pytest.raises(DataError, match="unsupported cache version 1"):
+        PreparedData.load(path)
+
+
+def test_cache_without_a_metadata_key_refused(prepared, tmp_path):
+    path = tmp_path / "cache.bin"
+    prepared.save(path)
+    arrays, meta = load_arrays(path)
+    del meta["features_kept"]
+    save_arrays(path, arrays, meta)
+    with pytest.raises(DataError, match=re.escape(f"{path}: cache lacks the metadata key or array 'features_kept'")):
+        PreparedData.load(path)
+
+
+def test_cache_without_an_array_refused(prepared, tmp_path):
+    path = tmp_path / "cache.bin"
+    prepared.save(path)
+    arrays, meta = load_arrays(path)
+    del arrays["edge_std"]
+    save_arrays(path, arrays, meta)
+    with pytest.raises(DataError, match=re.escape(f"{path}: cache lacks the metadata key or array 'edge_std'")):
         PreparedData.load(path)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor, no_grad, stack
+from hazecast.autodiff import Tensor, no_grad
 from hazecast.data import WindowSample
 from hazecast.errors import DataError, NumericError
 from hazecast.geo import Station, build_network, edge_attributes_at
@@ -590,7 +590,7 @@ class TestLuongAttention:
         attn = LuongAttention(rng, hidden_dim=3)
         enc = rng.normal(size=(2, 3))
         dec = Tensor(rng.normal(size=(2, 3)))
-        out = attn(stack([Tensor(enc)]), dec).data
+        out = attn(Tensor(enc[None]), dec).data
         joint = np.concatenate([enc, dec.data], axis=1)
         expected = np.tanh(joint @ attn.w_out.weight.data.T + attn.w_out.bias.data)
         assert np.allclose(out, expected, rtol=1e-14)
@@ -599,10 +599,10 @@ class TestLuongAttention:
         rng = np.random.default_rng(6)
         attn = LuongAttention(rng, hidden_dim=2)
         attn.w_score.weight.data[...] = 0.0
-        history = [Tensor(rng.normal(size=(3, 2))) for _ in range(4)]
+        history = rng.normal(size=(4, 3, 2))
         dec = Tensor(rng.normal(size=(3, 2)))
-        out = attn(stack(history), dec).data
-        mean_ctx = sum(h.data for h in history) * 0.25
+        out = attn(Tensor(history), dec).data
+        mean_ctx = sum(history) * 0.25
         joint = np.concatenate([mean_ctx, dec.data], axis=1)
         expected = np.tanh(joint @ attn.w_out.weight.data.T + attn.w_out.bias.data)
         assert np.allclose(out, expected, rtol=1e-12)
@@ -612,7 +612,7 @@ class TestLuongAttention:
         attn = LuongAttention(rng, hidden_dim=3)
         history = [rng.normal(size=(2, 3)) for _ in range(4)]
         dec = rng.normal(size=(2, 3))
-        out = attn(stack([Tensor(h) for h in history]), Tensor(dec)).data
+        out = attn(Tensor(np.stack(history)), Tensor(dec)).data
 
         wa = attn.w_score.weight.data
         wo, bo = attn.w_out.weight.data, attn.w_out.bias.data
@@ -635,17 +635,15 @@ class TestLuongAttention:
     def test_gradients(self):
         rng = np.random.default_rng(14)
         attn = LuongAttention(rng, hidden_dim=3)
-        history = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(3)]
+        history = Tensor(np.stack([rng.normal(size=(2, 3)) for _ in range(3)]), requires_grad=True)
         dec = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         probe = rng.normal(size=(2, 3))
 
         def loss():
-            return (attn(stack(history), dec) * probe).sum()
+            return (attn(history, dec) * probe).sum()
 
         tensors = params_dict(attn)
-        tensors["dec"] = dec
-        for k, h in enumerate(history):
-            tensors[f"enc{k}"] = h
+        tensors.update(dec=dec, history=history)
         assert_gradients_match(loss, tensors)
 
     @pytest.mark.parametrize("n_steps", [1, 24])
@@ -888,13 +886,16 @@ def test_tape_memory_of_one_training_window():
 
 
 def test_train_step_records_few_tape_nodes():
-    # One node per recurrence: the embedding, per 8-hour union a join, a row
-    # block, a conv call and a GRU unroll, the head, the decoder and the loss.
+    # One node per recurrence: the embedding, one join of all 24 hours' node
+    # rows, per 7-hour union a row block and a conv call, one join of the conv
+    # outputs, one GRU unroll, the final state, the head, the decoder, two row
+    # blocks of the embedding and four loss nodes.
     network, sample = reference_window()
     config = ModelConfig(variant="agnn_gru", hidden=8, history_steps=24, forecast_steps=24, node_dim=9)
     model = Forecaster(config, network, seed=0)
     diff = model.forward(sample) - Tensor(sample.y_future)
-    assert recorded_nodes((diff * diff).mean(), stop=()) <= 40
+    assert model.layout.hours_per_call(24) == 7
+    assert recorded_nodes((diff * diff).mean(), stop=()) <= 21
 
 
 def test_predict_keeps_no_per_step_arrays():

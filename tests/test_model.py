@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor, concat, stack
+from hazecast.autodiff import Tensor, concat
 from hazecast.container import save_arrays
 from hazecast.data import WindowSample
 from hazecast.errors import DataError, UsageError
 from hazecast.geo import Station, build_network, edge_attributes_at
-from hazecast.layers import GraphLayout
+from hazecast.layers import GraphLayout, GruCell
 from hazecast.model import CHECKPOINT_VERSION, EMBED_DIM, VARIANTS, Forecaster, ModelConfig
 
 from gradcheck import assert_gradients_match
@@ -148,22 +150,23 @@ class TestForward:
         preds = model.predict(sample)
         assert preds.shape == (1, net.n_stations)
 
-        # hand-compose one graph-layer call per hour, where forward joins all
-        # three hours into one call on their union, then one decoder step
+        # compose by hand: one graph-layer call on the union of all three
+        # hours, as forward makes, then the GRU one hour at a time and one
+        # decoder step
         assert model.layout.hours_per_call(cfg.history_steps) == cfg.history_steps
-        n = net.n_stations
+        n, hn = net.n_stations, cfg.history_steps * net.n_stations
         xbar = model.embed(sample.spacetime, sample.coords)
+        p = concat([Tensor(sample.x.reshape(hn, -1)), xbar.rows(0, hn), Tensor(sample.y_hist.reshape(hn, 1))])
+        edge = Tensor(sample.edge_feats.reshape(-1, sample.edge_feats.shape[2]))
+        g = model.conv(p, model.layout.union(cfg.history_steps), edge)
         h = Tensor(np.zeros((n, cfg.hidden)))
         history = []
         for t in range(cfg.history_steps):
-            p = concat([Tensor(sample.x[t]), xbar.rows(t * n, (t + 1) * n),
-                        Tensor(sample.y_hist[t].reshape(n, 1))])
-            h = model.encoder_gru.step(h, p, model.conv(p, model.layout, Tensor(sample.edge_feats[t])))
-            history.append(h)
+            h = model.encoder_gru.step(h, p.rows(t * n, (t + 1) * n), g.rows(t * n, (t + 1) * n))
+            history.append(h.data)
         yhat = model.encoder_head(h)
-        t = cfg.history_steps
-        h = model.decoder_gru.step(h, xbar.rows(t * n, (t + 1) * n), yhat)
-        out = model.decoder_head(model.attention(stack(history), h))
+        h = model.decoder_gru.step(h, xbar.rows(hn, hn + n), yhat)
+        out = model.decoder_head(model.attention(Tensor(np.stack(history)), h))
         assert np.array_equal(preds[0], out.data.ravel())
 
     @pytest.mark.parametrize("variant", ["agnn_gru", "gnn_gru", "wgc_gru", "gc_gru", "gru"])
@@ -213,6 +216,19 @@ class TestForward:
         sample = toy_sample(net, h=4, f=3, seed=7)
         preds = model.predict(sample)
         assert preds.tobytes() == model.forward(sample).data.tobytes()
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("stations, hours_per_call", [(4, 4), (40, 1)])
+    def test_one_encoder_unroll_per_window(self, variant, stations, hours_per_call, monkeypatch):
+        # the graph layer reads no recurrent state, so however many unions its
+        # calls take, the encoder GRU runs once over all hours
+        net = toy_network(n=stations, seed=5)
+        model = Forecaster(config(variant, net, h=4, f=3), net if variant != "gru" else None, seed=6)
+        assert GraphLayout(net.edges, stations).hours_per_call(4) == hours_per_call
+        calls, unroll = [], GruCell.unroll
+        monkeypatch.setattr(GruCell, "unroll", lambda cell, *args: calls.append(cell) or unroll(cell, *args))
+        model.forward(toy_sample(net, h=4, f=3, seed=7))
+        assert calls == [model.encoder_gru]
 
     @pytest.mark.parametrize("value", [12.7, np.nan])
     def test_non_integer_calendar_id_rejected(self, value):
@@ -429,6 +445,18 @@ class TestCheckpoint:
     def test_missing_config_key_rejected(self, tmp_path):
         with pytest.raises(DataError, match="node_dim"):
             Forecaster.load(self.write(tmp_path / "m.bin", drop=("node_dim",)))
+
+    def test_missing_config_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_arrays(path, {"a": np.ones(3)}, {"kind": "hazecast-checkpoint", "checkpoint_version": CHECKPOINT_VERSION})
+        with pytest.raises(DataError, match=re.escape(f"{path}: checkpoint has no config")):
+            Forecaster.load(path)
+
+    def test_unknown_stored_variant_rejected(self, tmp_path):
+        path = self.write(tmp_path / "m.bin", variant="lstm")
+        message = f"{path}: checkpoint config does not fit this model: unknown variant 'lstm'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Forecaster.load(path)
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         with pytest.raises(DataError, match="version 1"):
