@@ -8,27 +8,25 @@ with :func:`zero_grads` between optimizer steps.
 
 Only the primitives the forecasting layers and their losses need are
 implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, tanh, the
-sum and mean of all entries, joining 2-D tensors by columns or rows, row
-blocks and row gathering.
-Row gathering sums its gradient through :func:`segment_sum`, which costs time
-and memory linear in the number of rows summed.  Everything runs
-single-threaded over numpy (see :func:`single_threaded_blas`), so identical
-inputs give bit-identical results.  ``backward`` adds gradients in place, but
-only into arrays it allocated itself.  A row block (:meth:`Tensor.rows`) is a
-view of a run of its parent's rows; ``backward`` adds the gradients of all
-blocks of one parent, which may touch, overlap or repeat, into one buffer the
-size of that parent.
+sum and mean of all entries, joining 2-D tensors by columns or rows, and row
+blocks.  :func:`segment_sum` sums rows by index in time and memory linear in
+the number of rows summed.  Everything runs single-threaded over numpy (see
+:func:`single_threaded_blas`), so identical inputs give bit-identical results.
+``backward`` adds gradients in place, but only into arrays it allocated
+itself.  A row block (:meth:`Tensor.rows`) is a view of a run of its parent's
+rows; ``backward`` adds the gradients of all blocks of one parent, which may
+touch, overlap or repeat, into one buffer the size of that parent.
 
 A layer can also record one fused node through :meth:`Tensor._make`, with
 every weight as a parent and a hand-derived backward; what such a node keeps
 alive until backward is whatever its backward closure refers to.  The layers
 of :mod:`hazecast.layers` do so and keep only small arrays: ``Linear`` its
 input; ``TransformerConv`` its (nodes, d) query terms and edge-input sums and
-its (edges, 1) attention weights; ``SpaceTimeEmbedding`` its scaled
-coordinates and calendar ids.  A recurrence (``GruCell.unroll`` over a
-window's H hours, the model's decoder over its F hours) is one node that
-keeps each step's arrays in :class:`StepBuffers`, or nothing when it does not
-record.
+its (edges, 1) attention weights; ``ScalarGraphConv`` its edge-input sums;
+``SpaceTimeEmbedding`` its scaled coordinates and calendar ids.  A recurrence
+(``GruCell.unroll`` over a window's H hours, the model's decoder over its F
+hours) is one node that keeps each step's arrays in :class:`StepBuffers`, or
+nothing when it does not record.
 """
 
 from __future__ import annotations
@@ -248,13 +246,6 @@ class Tensor:
         out = Tensor._make(self.data[start:stop], (self,), lambda g: (g,))
         out._rows = slice(start, stop)
         return out
-
-    def gather_rows(self, index: np.ndarray):
-        """Select rows by integer index; duplicate indices accumulate on backward."""
-        index = np.asarray(index, dtype=np.int64)
-        n_rows = self.data.shape[0]
-        return Tensor._make(self.data[index], (self,),
-                            lambda g: (segment_sum(g, index, n_rows),))
 
     # -- graph traversal --------------------------------------------------------
 

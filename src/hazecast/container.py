@@ -36,20 +36,10 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
         if code not in _ALLOWED_DTYPES:
             raise ValueError(f"array {name!r}: unsupported dtype {arr.dtype}")
         blob = arr.astype(dtype, copy=False).tobytes()
-        directory.append({
-            "name": name,
-            "dtype": code,
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": len(blob),
-        })
+        directory.append({"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
         blobs.append(blob)
         offset += len(blob)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "meta": meta or {},
-        "arrays": directory,
-    }
+    header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": directory}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -57,6 +47,14 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
         fh.write(header_bytes)
         for blob in blobs:
             fh.write(blob)
+
+
+def _is_entry(entry) -> bool:
+    """Whether a directory entry has a string name and dtype, and its dims, offset and size as ints >= 0."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("dtype"), str) and isinstance(entry.get("shape"), list)):
+        return False
+    return all(type(v) is int and v >= 0 for v in (*entry["shape"], entry.get("offset"), entry.get("nbytes")))
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -70,12 +68,16 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (struct.error, ValueError):  # ValueError covers JSON and UTF-8 decoding
             raise DataError(f"{path}: truncated or corrupt container header") from None
-        if header.get("format_version") != FORMAT_VERSION:
+        if isinstance(header, dict) and header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported container version {header.get('format_version')}")
+        directory = header.get("arrays") if isinstance(header, dict) else None
+        if not (isinstance(directory, list) and all(map(_is_entry, directory))
+                and isinstance(header.get("meta"), dict)):
+            raise DataError(f"{path}: malformed container header or array directory")
         # Each array is read in place: no payload buffer or extra copy.
         start, end = fh.tell(), os.fstat(fh.fileno()).st_size
         arrays = {}
-        for entry in header["arrays"]:
+        for entry in directory:
             if entry["dtype"] not in _ALLOWED_DTYPES:
                 raise DataError(f"{path}: unsupported dtype {entry['dtype']!r} (array {entry['name']!r})")
             dtype, nbytes = np.dtype(entry["dtype"]), entry["nbytes"]

@@ -500,6 +500,10 @@ class WindowSample:
         return int(self.coords.shape[0])
 
     def validate(self) -> None:
+        if self.coords.ndim != 2 or self.coords.shape[1] != 2:
+            raise DataError(f"coords must be (L, 2) latitude, longitude, got shape {self.coords.shape}")
+        if not np.all(np.abs(self.coords) <= (90.0, 180.0)):  # NaN compares false
+            raise DataError("coords must be finite, latitude in [-90, 90] and longitude in [-180, 180]")
         h, f, n = self.history_steps, self.forecast_steps, self.n_stations
         if h <= 0 or f <= 0:
             raise DataError(f"window needs positive history/forecast lengths, got H={h}, F={f}")

@@ -107,8 +107,6 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
     are independent of evaluation order.  An edge whose bearing is undefined
     (co-located, polar or antipodal endpoints) raises ``DataError``.
     """
-    if not stations:
-        raise DataError("cannot build a network from an empty station list")
     if len(stations) < 2:
         raise DataError("need at least 2 stations to build a network")
     if threshold_km <= 0:

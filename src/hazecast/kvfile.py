@@ -23,8 +23,3 @@ def read_keyvalue(path) -> dict[str, str]:
                 raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value.strip()
     return out
-
-
-def format_keyvalue(pairs) -> str:
-    items = pairs.items() if hasattr(pairs, "items") else pairs
-    return "".join(f"{k} = {v}\n" for k, v in items)

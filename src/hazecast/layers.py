@@ -1,21 +1,19 @@
 """Differentiable building blocks for the forecasting models.
 
 Every layer owns its weights as :class:`~hazecast.autodiff.Tensor` leaves, so
-analytic gradients of any composition come from ``Tensor.backward``.
-:class:`Linear`, :class:`GruCell`, :class:`TransformerConv`,
-:class:`LuongAttention`, :class:`SpaceTimeEmbedding` and :class:`Mlp` each
-record one tape node per call, built with ``Tensor._make`` with every weight
-as a parent.  A GRU, attention or head step has one implementation, its
-class's ``_forward``, ``_backward`` and ``_param_grads``, which the
-recurrences (``GruCell.unroll``, the model's decoder) run per step.  The
-model calls the embedding and the encoder unroll once per window and the
-graph layers once per union of hours (:meth:`GraphLayout.union`).  The
-affine map has one implementation, ``Linear.apply`` and
-``Linear.param_grads``, which the fused layers reuse.  A hand-derived
-backward keeps only small arrays (each class says which) and recomputes the
-rest, so the tape holds no (E, width) array between forward and backward.
-The graph layer applies its maps on the node side of the edge sums, so its
-per-edge arrays are as wide as its inputs, not its output.
+analytic gradients of any composition come from ``Tensor.backward``.  Each
+layer, :class:`ScalarGraphConv` too, records one tape node per call, built
+with ``Tensor._make`` with every weight as a parent.  A GRU, attention or
+head step has one implementation, its class's ``_forward``, ``_backward`` and
+``_param_grads``, which the recurrences (``GruCell.unroll``, the model's
+decoder) run per step.  The model calls the embedding and the encoder unroll
+once per window and the graph layers once per union of hours
+(:meth:`GraphLayout.union`).  The affine map has one implementation,
+``Linear.apply`` and ``Linear.param_grads``, which the fused layers reuse.  A
+hand-derived backward keeps only small arrays (each class says which) and
+recomputes the rest, so the tape holds no (E, width) array between forward
+and backward.  The graph layers apply their maps on the node side of the edge
+sums, so their per-edge arrays are as wide as their inputs, not their output.
 Weight matrices are drawn uniformly from ±sqrt(1/fan_in) and biases start
 at zero.  Every map has a bias except the attention score and the graph
 layer's two key maps, whose bias a softmax would cancel, and its edge-message
@@ -191,8 +189,9 @@ class GraphLayout:
     """Static per-network indexing shared by the graph layers.
 
     Holds the (source, sink) index arrays and each node's in-degree.  Per-edge
-    rows are summed into nodes by :meth:`segment_sum`, which caches its cells
-    per (side, width); time and memory grow linearly with the number of edges.
+    rows are summed into nodes by :meth:`aggregate`, at each graph layer's
+    input width; it caches its cells per (side, width), and time and memory
+    grow linearly with the number of edges.
     :meth:`union` stacks k copies of the graph, one per hour, so that one
     call of a graph layer serves k hours (PyTorch Geometric's mini-batching).
     A union makes its cells per call: kept, they added 7-11 MiB to the peak
@@ -221,13 +220,9 @@ class GraphLayout:
         """Hours per graph-layer call: as many as fit in :data:`UNION_EDGE_ROWS` edge rows, at least 1."""
         return max(1, min(hours, UNION_EDGE_ROWS // max(1, self.n_edges)))
 
-    def segment_sum(self, per_edge: np.ndarray, side: str = "dst") -> np.ndarray:
-        """Sum per-edge rows into the node at each edge's ``side`` ("dst" or "src")."""
+    def aggregate(self, per_edge: np.ndarray, side: str = "dst") -> np.ndarray:
+        """Sum per-edge rows into the node at each edge's ``side`` ("dst" or "src"): (E, d) -> (L, d)."""
         return segment_sum(per_edge, getattr(self, side), self.n_nodes, self._cells[side])
-
-    def aggregate(self, per_edge: Tensor) -> Tensor:
-        """Sum per-edge rows into their sink nodes: (E, d) -> (L, d)."""
-        return Tensor._make(self.segment_sum(per_edge.data), (per_edge,), lambda g: (g[self.dst],))
 
 
 def _segment_softmax(logits: np.ndarray, layout: GraphLayout) -> np.ndarray:
@@ -236,7 +231,7 @@ def _segment_softmax(logits: np.ndarray, layout: GraphLayout) -> np.ndarray:
     shift = np.full(layout.n_nodes, -np.inf)
     np.maximum.at(shift, layout.dst, logits)
     exp = np.exp(logits - shift[layout.dst]).reshape(layout.n_edges, 1)
-    return exp / layout.segment_sum(exp)[layout.dst]
+    return exp / layout.aggregate(exp)[layout.dst]
 
 
 class TransformerConv:
@@ -297,7 +292,7 @@ class TransformerConv:
         query_key = query @ w_key
         per_edge = query_key[dst]
         alpha = _segment_softmax(np.einsum("ij,ij->i", per_edge, x) * scale, layout)
-        mixed = layout.segment_sum(np.multiply(alpha, x, out=per_edge))
+        mixed = layout.aggregate(np.multiply(alpha, x, out=per_edge))
         out = self.w_root.apply(p) + mixed @ w_msg.T
 
         def backward(g):
@@ -305,8 +300,8 @@ class TransformerConv:
             d_mixed = g @ w_msg
             d_x = d_mixed[dst]
             d_alpha = np.einsum("ij,ij->i", d_x, x)[:, None]
-            d_logits = alpha * (d_alpha - layout.segment_sum(alpha * d_alpha)[dst]) * scale
-            d_query_key = layout.segment_sum(np.multiply(d_logits, x, out=x))
+            d_logits = alpha * (d_alpha - layout.aggregate(alpha * d_alpha)[dst]) * scale
+            d_query_key = layout.aggregate(np.multiply(d_logits, x, out=x))
             d_x *= alpha
             np.take(query_key, dst, axis=0, out=x, mode="clip")  # unbuffered; forward checked dst
             d_x += np.multiply(d_logits, x, out=x)
@@ -314,7 +309,7 @@ class TransformerConv:
             d_nodes = None
             if nodes.requires_grad:
                 d_nodes = (g @ self.w_root.weight.data + d_query @ self.w_query.weight.data
-                           + layout.segment_sum(d_x, "src")[:, :n_in])
+                           + layout.aggregate(d_x, "src")[:, :n_in])
             # columns of the side-by-side gradients: node map, edge map, shared bias
             # (K's last column is a constant zero, so its gradient goes unused)
             gk, gm = query.T @ d_query_key, g.T @ mixed
@@ -337,6 +332,10 @@ class ScalarGraphConv:
     out_i = root(P_i) + sum_{j in N_i} coef_ji * msg(P_j).  The per-edge
     coefficients come in precomputed: 1/in_degree for the mean-style binary
     layer, d_min/d_ij for the inverse-distance layer.
+
+    The sum runs at input width, before the linear map: with edge rows x =
+    [P_j, 1] and M = [W_msg, b_msg], the message sum is (sum_j coef_ji x) M^T.
+    A call is one tape node that keeps those (nodes, node_dim + 1) sums.
     """
 
     def __init__(self, rng, node_dim: int, out_dim: int, name: str = "conv"):
@@ -346,8 +345,18 @@ class ScalarGraphConv:
 
     def __call__(self, nodes: Tensor, layout: GraphLayout, edge_coef: np.ndarray) -> Tensor:
         _check_finite(f"{self.name} node input", nodes.data)
-        weighted = self.w_msg(nodes).gather_rows(layout.src) * edge_coef.reshape(-1, 1)
-        return self.w_root(nodes) + layout.aggregate(weighted)
+        p, coef = nodes.data, edge_coef.reshape(-1, 1)
+        w_msg = np.column_stack((self.w_msg.weight.data, self.w_msg.bias.data))
+        mixed = layout.aggregate(np.column_stack((p, np.ones(len(p))))[layout.src] * coef)
+        out = self.w_root.apply(p) + mixed @ w_msg.T
+
+        def backward(g):
+            d_x = (g @ w_msg)[layout.dst] * coef
+            d_nodes = g @ self.w_root.weight.data + layout.aggregate(d_x, "src")[:, :-1]
+            gm = g.T @ mixed
+            return (d_nodes, *self.w_root.param_grads(g, p), gm[:, :-1], gm[:, -1])
+
+        return Tensor._make(out, (nodes, *_weights(self)), backward)
 
     def params(self):
         yield from self.w_root.params()

@@ -66,15 +66,55 @@ def test_unsupported_dtype_rejected(tmp_path):
         save_arrays(tmp_path / "x.bin", {"a": np.array(["text"])}, {})
 
 
-def rewrite_directory(path, **changes):
-    """Rewrite the container at ``path`` with ``changes`` to its first directory entry."""
+def rewrite_header(path, change):
+    """Rewrite the container at ``path`` with its header replaced by ``change(header)``."""
     blob = path.read_bytes()
     start = len(MAGIC) + 4
     (length,) = struct.unpack("<I", blob[len(MAGIC):start])
-    header = json.loads(blob[start:start + length])
-    header["arrays"][0].update(changes)
-    text = json.dumps(header).encode()
+    text = json.dumps(change(json.loads(blob[start:start + length]))).encode()
     path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + blob[start + length:])
+
+
+def with_entry(header, **changes):
+    """``header`` with ``changes`` to its first directory entry."""
+    return {**header, "arrays": [{**header["arrays"][0], **changes}]}
+
+
+def rewrite_directory(path, **changes):
+    """Rewrite the container at ``path`` with ``changes`` to its first directory entry."""
+    rewrite_header(path, lambda header: with_entry(header, **changes))
+
+
+def without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("change", [
+    lambda header: [header],                                  # not a JSON object
+    lambda header: without(header, "arrays"),
+    lambda header: {**header, "arrays": {"a": header["arrays"][0]}},
+    lambda header: without(header, "meta"),
+    lambda header: {**header, "meta": ["variant"]},
+    lambda header: {**header, "arrays": ["a"]},
+    lambda header: {**header, "arrays": [without(header["arrays"][0], "nbytes")]},
+    lambda header: with_entry(header, name=3),
+    lambda header: with_entry(header, dtype=["<f8"]),
+    lambda header: with_entry(header, shape=[-1, -100]),     # a valid size, 100 values
+    lambda header: with_entry(header, shape=100),
+    lambda header: with_entry(header, shape=[100.0]),
+    lambda header: with_entry(header, offset=-8),             # would read header bytes
+    lambda header: with_entry(header, offset="0"),
+    lambda header: with_entry(header, nbytes=True),
+], ids=["list", "no arrays", "arrays dict", "no meta", "meta list", "entry str", "no nbytes",
+        "int name", "list dtype", "negative dims", "int shape", "float dim", "negative offset",
+        "str offset", "bool nbytes"])
+def test_malformed_header_rejected(tmp_path, change):
+    path = tmp_path / "store.bin"
+    save_arrays(path, {"a": np.ones(100)}, {"variant": "gc_gru"})
+    rewrite_header(path, change)
+    with pytest.raises(DataError, match="malformed container") as caught:
+        load_arrays(path)
+    assert str(path) in str(caught.value)
 
 
 @pytest.mark.parametrize("changes, message", [

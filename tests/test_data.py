@@ -105,6 +105,7 @@ def window(h=3, f=2, n=4, d=2, e=5, **changes):
 def test_consistent_window_validates():
     window().validate()
     window(y_future=None, edge_feats=None).validate()
+    window(coords=np.array([[90.0, 180.0], [-90.0, -180.0], [0.0, 0.0], [-0.0, 179.9]])).validate()
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -120,6 +121,19 @@ def test_consistent_window_validates():
 def test_inconsistent_shapes_rejected(changes, message):
     with pytest.raises(DataError, match=message):
         window(**changes).validate()
+
+
+@pytest.mark.parametrize("coords, message", [
+    (np.zeros((4, 3)), r"\(L, 2\)"),                                     # hours would mix
+    (np.zeros(8), r"\(L, 2\)"),
+    (np.array([[0.0, 0.0], [125.0, 85.0], [0.0, 0.0], [0.0, 0.0]]), "latitude in"),
+    (np.array([[0.0, 0.0], [25.0, -180.5], [0.0, 0.0], [0.0, 0.0]]), "longitude in"),
+    (np.array([[0.0, 0.0], [np.nan, 85.0], [0.0, 0.0], [0.0, 0.0]]), "finite"),
+    (np.array([[0.0, 0.0], [25.0, np.inf], [0.0, 0.0], [0.0, 0.0]]), "finite"),
+], ids=["3 columns", "1-D", "latitude 125", "longitude -180.5", "nan", "inf"])
+def test_bad_coordinates_rejected(coords, message):
+    with pytest.raises(DataError, match=message):
+        window(coords=coords).validate()
 
 
 @pytest.mark.parametrize("column, value, message", [

@@ -179,19 +179,9 @@ class TestGraphLayout:
 
     def test_aggregate_sums_into_sinks(self):
         per_edge = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = tiny_graph().aggregate(Tensor(per_edge)).data
-        assert out.tolist() == [[5.0, 6.0], [0.0, 0.0], [4.0, 6.0]]
-
-    def test_aggregate_gradients(self):
-        rng = np.random.default_rng(30)
-        layout = tiny_graph()  # node 1 has no in-edges
-        per_edge = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        probe = rng.normal(size=(3, 2))
-
-        def loss():
-            return (layout.aggregate(per_edge) * probe).sum()
-
-        assert_gradients_match(loss, {"per_edge": per_edge})
+        layout = tiny_graph()
+        assert layout.aggregate(per_edge).tolist() == [[5.0, 6.0], [0.0, 0.0], [4.0, 6.0]]
+        assert layout.aggregate(per_edge, "src").tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     @pytest.mark.parametrize("n_edges", [80, 0])
     @pytest.mark.parametrize("width", [1, 5, 41])
@@ -204,7 +194,7 @@ class TestGraphLayout:
             values = rng.normal(size=(n_edges, width)) * 10.0 ** rng.integers(-4, 4, (n_edges, width))
             expected = np.zeros((9, width))
             np.add.at(expected, getattr(layout, side), values)
-            assert layout.segment_sum(values, side).tobytes() == expected.tobytes()
+            assert layout.aggregate(values, side).tobytes() == expected.tobytes()
         assert list(layout._cells[side]) == [width]
 
     def test_cell_cache_stops_growing_after_first_call(self):
@@ -230,7 +220,7 @@ class TestGraphLayout:
         pairs = rng.integers(0, n_nodes, size=(9500, 2))
         edges = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
         assert edges.shape[0] > 8500
-        message = Tensor(rng.normal(size=(edges.shape[0], 64)))
+        message = rng.normal(size=(edges.shape[0], 64))
         tracemalloc.start()
         try:
             layout = GraphLayout(edges, n_nodes)
@@ -506,6 +496,24 @@ class TestScalarGraphConv:
         tensors = params_dict(conv)
         tensors["nodes"] = nodes
         assert_gradients_match(loss, tensors)
+
+    def test_one_tape_node_per_call_summing_at_input_width(self):
+        rng = np.random.default_rng(15)
+        conv = ScalarGraphConv(rng, node_dim=3, out_dim=16)
+        layout = tiny_graph()
+        nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        coef = rng.uniform(0.2, 1.0, size=3)
+        out = conv(nodes, layout, coef)
+        assert recorded_nodes(out, stop=(nodes,)) == 1
+        out.sum().backward()
+        cells = {side: dict(by_width) for side, by_width in layout._cells.items()}
+        for _ in range(3):
+            conv(nodes, layout, coef).sum().backward()
+        for side, by_width in cells.items():  # the same arrays, none added
+            assert layout._cells[side].keys() == by_width.keys()
+            assert all(layout._cells[side][width] is by_width[width] for width in by_width)
+        # per-edge rows are [node input, 1], never the output width
+        assert cells["dst"].keys() | cells["src"].keys() == {3 + 1}
 
 
 # ---------------------------------------------------------------- hours as one disjoint union
@@ -889,13 +897,15 @@ def test_train_step_records_few_tape_nodes():
     # One node per recurrence: the embedding, one join of all 24 hours' node
     # rows, per 7-hour union a row block and a conv call, one join of the conv
     # outputs, one GRU unroll, the final state, the head, the decoder, two row
-    # blocks of the embedding and four loss nodes.
+    # blocks of the embedding and four loss nodes.  Both graph layers are one
+    # node per call.
     network, sample = reference_window()
-    config = ModelConfig(variant="agnn_gru", hidden=8, history_steps=24, forecast_steps=24, node_dim=9)
-    model = Forecaster(config, network, seed=0)
-    diff = model.forward(sample) - Tensor(sample.y_future)
-    assert model.layout.hours_per_call(24) == 7
-    assert recorded_nodes((diff * diff).mean(), stop=()) <= 21
+    for variant in ("agnn_gru", "gc_gru", "wgc_gru"):
+        config = ModelConfig(variant=variant, hidden=8, history_steps=24, forecast_steps=24, node_dim=9)
+        model = Forecaster(config, network, seed=0)
+        diff = model.forward(sample) - Tensor(sample.y_future)
+        assert model.layout.hours_per_call(24) == 7
+        assert recorded_nodes((diff * diff).mean(), stop=()) <= 21, variant
 
 
 def test_predict_keeps_no_per_step_arrays():

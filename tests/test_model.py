@@ -320,6 +320,19 @@ class TestForward:
         with pytest.raises(DataError, match="edge attributes of shape"):
             model.predict(sample)
 
+    @pytest.mark.parametrize("variant", ["agnn_gru", "wgc_gru", "gc_gru"])
+    @pytest.mark.parametrize("coords", ["3 columns", "latitude 125", "nan"])
+    def test_bad_coordinates_rejected_before_the_graph(self, variant, coords):
+        net = toy_network()
+        model = Forecaster(config(variant, net), net, seed=0)
+        sample = toy_sample(net)
+        if coords == "3 columns":  # an embedding of (-1, 2) rows would mix hours
+            sample.coords = np.column_stack((sample.coords, np.zeros(3)))
+        else:
+            sample.coords[1, 0] = 125.0 if coords == "latitude 125" else np.nan
+        with pytest.raises(DataError, match="coords must be"):
+            model.predict(sample)
+
     def test_window_shape_mismatch_rejected(self):
         net = toy_network()
         model = Forecaster(config("agnn_gru", net, h=4), net, seed=0)
