@@ -59,7 +59,11 @@ def _is_entry(entry) -> bool:
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back ``(arrays, meta)`` written by :func:`save_arrays`."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read input file ({exc.strerror})") from None
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not a hazecast array container")

@@ -14,8 +14,6 @@ their locality but no conversion is applied.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 import warnings
@@ -30,6 +28,7 @@ from .autodiff import single_threaded_blas
 from .container import load_arrays, save_arrays
 from .errors import DataError, UsageError
 from .geo import (
+    EDGE_FEATURES,
     Station,
     StationNetwork,
     build_network,
@@ -37,7 +36,7 @@ from .geo import (
     edge_attributes_at,
     read_stations_csv,
 )
-from .kvfile import read_keyvalue
+from .kvfile import csv_rows, read_keyvalue, read_text
 
 FEATURES = ("rh", "temp", "pm25", "pbl", "u10", "v10", "kindex", "sp", "tp")
 TARGET = "pm25"
@@ -45,6 +44,7 @@ SERIES_HEADER = ("timestamp",) + FEATURES
 CACHE_VERSION = 2
 MANIFEST_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
+IMPUTATION_SWEEPS = 5
 
 
 # --------------------------------------------------------------------------- panel
@@ -84,9 +84,6 @@ class RawPanel:
                     f"{self.timestamps[k + 1]} (expected {self.cadence_hours} h)")
         if np.any(np.isinf(self.values)):
             raise DataError("panel holds infinite values")
-
-    def missing_fraction(self) -> float:
-        return float(np.isnan(self.values).mean()) if self.values.size else 0.0
 
 
 # --------------------------------------------------------------------------- manifest
@@ -148,8 +145,8 @@ def parse_manifest(path) -> Manifest:
         cadence = float(pairs["cadence_hours"])
     except ValueError:
         raise DataError(f"{path}: cadence_hours must be numeric") from None
-    if cadence <= 0:
-        raise DataError(f"{path}: cadence_hours must be positive")
+    if not 0.0 < cadence < math.inf:   # refuses NaN too
+        raise DataError(f"{path}: cadence_hours must be positive and finite")
     splits = SplitSpec(
         train=_parse_range(pairs["train"], f"{path}: train"),
         val=_parse_range(pairs["val"], f"{path}: val"),
@@ -176,8 +173,7 @@ def _load_series(path: Path) -> tuple[np.ndarray, np.ndarray]:
     set to ``nan``.  Any other file, or one loadtxt or the checks after it
     reject, goes to the row parser, which reports faults with ``file:line``.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    text = read_text(path)
     header, _, body = text.partition("\n")
     lines = [line for line in re.sub(r", *(?=[,\r\n]|\Z)", ",nan", body).splitlines() if line.strip(" ")]
     stamps, rest = zip(*(line.partition(",")[::2] for line in lines)) if lines else ((), ())
@@ -196,23 +192,11 @@ def _load_series(path: Path) -> tuple[np.ndarray, np.ndarray]:
 def _parse_rows(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-by-row parse of a series file's ``text``; raises ``DataError`` at the first fault."""
     timestamps, rows = [], []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty series file") from None
-    if tuple(h.strip() for h in header) != SERIES_HEADER:
-        raise DataError(f"{path}:1: expected header {','.join(SERIES_HEADER)!r}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(SERIES_HEADER):
-            raise DataError(f"{path}:{lineno}: expected {len(SERIES_HEADER)} fields, got {len(row)}")
+    for lineno, (stamp, *cells) in csv_rows(path, text, SERIES_HEADER):
         try:
-            timestamps.append(np.datetime64(row[0].strip(), "m"))
+            timestamps.append(np.datetime64(stamp, "m"))
         except ValueError:
-            raise DataError(f"{path}:{lineno}: unparseable timestamp {row[0]!r}") from None
-        cells = [cell.strip() for cell in row[1:]]
+            raise DataError(f"{path}:{lineno}: unparseable timestamp {stamp!r}") from None
         for name, cell in zip(FEATURES, cells):
             try:
                 finite = not cell or math.isfinite(float(cell))
@@ -301,28 +285,27 @@ def split_temporal(timestamps: np.ndarray, spec: SplitSpec) -> dict[str, tuple[i
 
 
 @single_threaded_blas()
-def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
+def impute_chained(panel: RawPanel) -> RawPanel:
     """Fill gaps by chained-equations regression (MICE; van Buuren and Groothuis-Oudshoorn 2011).
 
-    Missing cells start at their feature's observed mean; each sweep refits
-    every feature, in column order, on the current values of the others by
-    least squares and re-predicts its missing cells (a feature with constant
-    observed values gets that constant).  Observed cells and stations without
-    gaps are untouched.  All stations are fitted at once: each keeps the Gram
-    matrix of ``[1, features]``, features centred and scaled by their observed
-    mean and std; feature c's normal equations are that Gram less the rows
-    missing in c, and re-predicting c changes only its row and column.  The
-    missing rows are gathered per group of stations: for feature c, the
-    stations whose gap count in c rounds up to the same power of two form a
-    group, and each group's gather is padded to that width with a zero row,
-    so no station carries more than twice its own gaps.  One batched solve
-    per (feature, sweep) then serves every station.  Fills agree with a
-    per-station ``lstsq`` loop to 1e-8 of each feature's std (about 1e-11 on
-    the benchmark corpora); as normal equations, the error grows with the
-    square of a design's condition number.  BLAS runs on one thread.
+    Missing cells start at their feature's observed mean; each of the
+    ``IMPUTATION_SWEEPS`` sweeps refits every feature, in column order, on the
+    current values of the others by least squares and re-predicts its missing
+    cells (a feature with constant observed values gets that constant).
+    Observed cells and stations without gaps are untouched.  All stations are
+    fitted at once: each keeps the Gram matrix of ``[1, features]``, features
+    centred and scaled by their observed mean and std; feature c's normal
+    equations are that Gram less the rows missing in c, and re-predicting c
+    changes only its row and column.  The missing rows are gathered per group
+    of stations: for feature c, the stations whose gap count in c rounds up to
+    the same power of two form a group, and each group's gather is padded to
+    that width with a zero row, so no station carries more than twice its own
+    gaps.  One batched solve per (feature, sweep) then serves every station.
+    Fills agree with a per-station ``lstsq`` loop to 1e-8 of each feature's
+    std (about 1e-11 on the benchmark corpora); as normal equations, the error
+    grows with the square of a design's condition number.  BLAS runs on one
+    thread.
     """
-    if iterations < 1:
-        raise UsageError("imputation needs at least one iteration")
     values = panel.values.copy()
     gappy = np.flatnonzero(np.isnan(values).any(axis=(0, 2)))
     n_st, n_steps, n_feat = len(gappy), values.shape[0], values.shape[2]
@@ -346,7 +329,7 @@ def impute_chained(panel: RawPanel, iterations: int = 5) -> RawPanel:
     groups = [_gap_groups(observed, c, gappy, panel.n_stations) for c in range(n_feat)]
     design_rows, design_cells, panel_cells = design.reshape(-1, n_feat + 1), design.ravel(), values.ravel()
     gram = design.transpose(0, 2, 1) @ design
-    for _ in range(iterations):
+    for _ in range(IMPUTATION_SWEEPS):
         for c, feature_groups in enumerate(groups):
             reduced = gram.copy()
             gathered = []
@@ -432,12 +415,6 @@ class StandardizationStats:
     mean: np.ndarray
     std: np.ndarray
     dropped: tuple[str, ...]
-
-    def index_of(self, feature: str) -> int:
-        try:
-            return self.features.index(feature)
-        except ValueError:
-            raise UsageError(f"feature {feature!r} not in standardized set") from None
 
     def standardize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
@@ -590,7 +567,7 @@ class PreparedData:
         return out
 
     def destandardize_target(self, values: np.ndarray) -> np.ndarray:
-        k = self.stats.index_of(TARGET)
+        k = self.stats.features.index(TARGET)
         return values * self.stats.std[k] + self.stats.mean[k]
 
     # -- persistence --------------------------------------------------------
@@ -628,6 +605,9 @@ class PreparedData:
         if meta.get("cache_version") != CACHE_VERSION:
             raise DataError(f"{path}: unsupported cache version {meta.get('cache_version')}")
         try:
+            fault = _cache_fault(arrays, meta)
+            if fault:
+                raise DataError(f"{path}: {fault}")
             stats = StandardizationStats(
                 features=tuple(meta["features_kept"]),
                 mean=arrays["node_mean"],
@@ -657,18 +637,47 @@ class PreparedData:
             raise DataError(f"{path}: cache lacks the metadata key or array {exc}") from None
 
 
+def _cache_fault(arrays: dict, meta: dict) -> str | None:
+    """What makes a cache's arrays and metadata disagree, or None.
+
+    Only shapes and the small arrays are read; the panels' values are left to
+    :meth:`WindowSample.validate`, once per window.
+    """
+    t, n, c = arrays["timestamps"].size, len(meta["station_ids"]), len(meta["features_kept"])
+    shapes = {"timestamps": (t,), "coords": (n, 2), "x": (t, n, c - 1), "y": (t, n), "wind": (t, n, 2),
+              "node_mean": (c,), "node_std": (c,), "edge_mean": (len(EDGE_FEATURES),),
+              "edge_std": (len(EDGE_FEATURES),), "split_bounds": (len(SPLIT_NAMES), 2)}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            return f"array {name!r} has shape {arrays[name].shape}, expected {shape}"
+    if TARGET not in meta["features_kept"]:
+        return f"features_kept lacks the target {TARGET!r}"
+    starts, stops = arrays["split_bounds"].T.tolist()
+    if not (starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == t
+            and all(lo < hi for lo, hi in zip(starts, stops))):
+        return f"split bounds {arrays['split_bounds'].tolist()} do not tile the {t} rows in order"
+    if np.any(np.diff(arrays["timestamps"]) <= 0):
+        return "timestamps are not strictly increasing"
+    means, stds = (np.concatenate([arrays[f"node_{k}"], arrays[f"edge_{k}"]]) for k in ("mean", "std"))
+    if not (np.isfinite(means).all() and np.all((0.0 < stds) & (stds < np.inf))):
+        return "standardization statistics must be finite, with every std positive"
+    threshold = meta["threshold_km"]
+    if not (type(threshold) in (int, float) and 0.0 < threshold < math.inf):
+        return f"threshold_km must be positive and finite, got {threshold!r}"
+    return None
+
+
 def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedData, dict]:
     """Run the full preparation pipeline; returns the cache and a data report."""
     panel, stations = load_corpus(manifest)
+    missing = np.isnan(panel.values)
     report = {
         "stations": panel.n_stations,
         "rows": panel.n_steps,
-        "missing_pct": 100.0 * panel.missing_fraction(),
-        "missing_pct_by_feature": {
-            name: 100.0 * float(np.isnan(panel.values[:, :, k]).mean())
-            for k, name in enumerate(panel.features)
-        },
+        "missing_pct": 100.0 * float(missing.mean()),
+        "missing_pct_by_feature": dict(zip(panel.features, (100.0 * missing.mean(axis=(0, 1))).tolist())),
     }
+    del missing   # a (T, L, C) mask; freed before imputation, which sets the memory peak
 
     complete = impute_chained(panel)
     splits = split_temporal(complete.timestamps, manifest.splits)
@@ -682,7 +691,7 @@ def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedDat
     stats = compute_stats(complete, splits["train"])
     kept_idx = [complete.features.index(f) for f in stats.features]
     std_values = stats.standardize(complete.values[:, :, kept_idx])
-    target_pos = stats.index_of(TARGET)
+    target_pos = stats.features.index(TARGET)
     x_pos = [k for k in range(len(stats.features)) if k != target_pos]
 
     wind = complete.values[:, :, [complete.features.index("u10"), complete.features.index("v10")]]

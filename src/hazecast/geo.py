@@ -10,12 +10,12 @@ timestep from the wind field.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, UsageError
+from .kvfile import csv_rows, read_text
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -109,8 +109,8 @@ def build_network(stations: list[Station], threshold_km: float) -> StationNetwor
     """
     if len(stations) < 2:
         raise DataError("need at least 2 stations to build a network")
-    if threshold_km <= 0:
-        raise UsageError(f"distance threshold must be positive, got {threshold_km}")
+    if not 0.0 < threshold_km < np.inf:   # refuses NaN too
+        raise UsageError(f"distance threshold must be positive and finite, got {threshold_km}")
     ids = [s.id for s in stations]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -236,23 +236,11 @@ def inverse_distance_weights(network: StationNetwork) -> np.ndarray:
 def read_stations_csv(path) -> list[Station]:
     """Read a station list from a CSV file with header ``id,latitude,longitude``."""
     stations = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, (sid, lat, lon) in csv_rows(path, read_text(path), ("id", "latitude", "longitude")):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty station file") from None
-        if [h.strip() for h in header] != ["id", "latitude", "longitude"]:
-            raise DataError(f"{path}:1: expected header 'id,latitude,longitude', got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                stations.append(Station(row[0].strip(), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            stations.append(Station(sid, float(lat), float(lon)))
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     if not stations:
         raise DataError(f"{path}: no stations found")
     return stations

@@ -78,8 +78,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}")
-        if self.hidden <= 0 or self.history_steps <= 0 or self.forecast_steps <= 0:
-            raise UsageError("hidden, history_steps and forecast_steps must be positive")
+        for name in ("hidden", "history_steps", "forecast_steps", "node_dim"):
+            value, least = getattr(self, name), 0 if name == "node_dim" else 1
+            if type(value) is not int or value < least:   # a bool is not a size
+                raise UsageError(f"{name} must be an int >= {least}, got {value!r}")
 
     @property
     def use_attention(self) -> bool:
@@ -144,17 +146,6 @@ class Forecaster:
                 if name in self.params:
                     raise RuntimeError(f"duplicate parameter name {name}")
                 self.params[name] = tensor
-
-    # -- parameter accounting ------------------------------------------------
-
-    def parameter_count(self) -> int:
-        return int(sum(t.data.size for t in self.params.values()))
-
-    def graph_parameter_count(self) -> int:
-        return int(sum(t.data.size for n, t in self.params.items() if n.startswith("encoder.conv")))
-
-    def attention_parameter_count(self) -> int:
-        return int(sum(t.data.size for n, t in self.params.items() if n.startswith("decoder.attention")))
 
     def zero_grad(self) -> None:
         zero_grads(self.params.values())

@@ -15,6 +15,7 @@ import hazecast
 from hazecast.container import load_arrays, save_arrays
 from hazecast.data import (
     FEATURES,
+    IMPUTATION_SWEEPS,
     SERIES_HEADER,
     SPLIT_NAMES,
     PreparedData,
@@ -51,9 +52,12 @@ def test_data_does_not_load_model():
 
 
 def test_geo_loads_neither_data_nor_model():
-    loaded = loaded_modules("import hazecast.geo")
-    assert "hazecast.geo" in loaded
-    assert not loaded & {"hazecast.data", "hazecast.model"}
+    assert loaded_modules("import hazecast.geo") == {"hazecast", "hazecast.errors", "hazecast.kvfile",
+                                                     "hazecast.geo"}
+
+
+def test_reader_loads_only_the_errors():
+    assert loaded_modules("import hazecast.kvfile") == {"hazecast", "hazecast.errors", "hazecast.kvfile"}
 
 
 # ---------------------------------------------------------------- calendar
@@ -200,12 +204,12 @@ def test_imputation_runs_blas_on_one_thread(blas_threads, monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    impute_chained(gappy_panel(), iterations=2)
+    impute_chained(gappy_panel())
     assert seen and set(seen) == {1}
     assert blas_threads() == 2
 
 
-def impute_oracle(panel, iterations=5):
+def impute_oracle(panel, sweeps=IMPUTATION_SWEEPS):
     """The per-station loop of one ``np.linalg.lstsq`` call per (station, feature, sweep)."""
     values = panel.values.copy()
     n_features = len(panel.features)
@@ -225,7 +229,7 @@ def impute_oracle(panel, iterations=5):
             if miss.any():
                 z[miss, c] = z[mask[:, c], c].mean()
         others = {c: [k for k in range(n_features) if k != c] for c in range(n_features)}
-        for _ in range(iterations):
+        for _ in range(sweeps):
             for c in range(n_features):
                 miss = ~mask[:, c]
                 if not miss.any():
@@ -244,10 +248,10 @@ def impute_oracle(panel, iterations=5):
 ORACLE_TOLERANCE = 1e-8
 
 
-def assert_matches_oracle(panel, iterations=5):
+def assert_matches_oracle(panel):
     """``impute_chained`` agrees with the oracle; observed cells keep their bits."""
-    got = impute_chained(panel, iterations=iterations).values
-    want = impute_oracle(panel, iterations=iterations)
+    got = impute_chained(panel).values
+    want = impute_oracle(panel, hazecast.data.IMPUTATION_SWEEPS)
     observed = ~np.isnan(panel.values)
     assert got[observed].tobytes() == panel.values[observed].tobytes()
     assert np.isfinite(got).all()
@@ -281,10 +285,11 @@ def correlated_panel(seed=5, steps=300, stations=4, features=5, gap=0.15, outage
     )
 
 
-@pytest.mark.parametrize("iterations", [1, 5])
+@pytest.mark.parametrize("sweeps", [1, IMPUTATION_SWEEPS])
 @pytest.mark.parametrize("seed", [5, 6])
-def test_imputation_matches_lstsq_oracle(seed, iterations):
-    assert_matches_oracle(correlated_panel(seed), iterations)
+def test_imputation_matches_lstsq_oracle(seed, sweeps, monkeypatch):
+    monkeypatch.setattr(hazecast.data, "IMPUTATION_SWEEPS", sweeps)
+    assert_matches_oracle(correlated_panel(seed))
 
 
 #: Gap counts around each power of two up to most of a 120-row series.
@@ -458,10 +463,18 @@ def test_manifest_parses(tmp_path):
     (dict(cadence_hours="0"), "cadence_hours must be positive"),
     (dict(cadence_hours="-1"), "cadence_hours must be positive"),
     (dict(cadence_hours="hourly"), "cadence_hours must be numeric"),
+    (dict(cadence_hours="nan"), "cadence_hours must be positive and finite"),
+    (dict(cadence_hours="inf"), "cadence_hours must be positive and finite"),
 ])
 def test_manifest_errors(tmp_path, changes, message):
     with pytest.raises(DataError, match=message):
         parse_manifest(write_manifest(tmp_path, **changes))
+
+
+def test_missing_manifest_file(tmp_path):
+    path = tmp_path / "manifest.txt"
+    with pytest.raises(DataError, match=re.escape(f"{path}: cannot read input file")):
+        parse_manifest(path)
 
 
 # ---------------------------------------------------------------- loading
@@ -471,7 +484,7 @@ def test_load_corpus_reads_gaps_as_nan(tmp_path):
     panel, stations = load_corpus(parse_manifest(write_corpus(tmp_path)))
     assert [s.id for s in stations] == panel.station_ids == ["a", "b", "c"]
     assert panel.values.shape == (120, 3, len(FEATURES))
-    assert 0.0 < panel.missing_fraction() < 0.1
+    assert 0.0 < np.isnan(panel.values).mean() < 0.1
     assert not np.any(np.isinf(panel.values))
     lines = (tmp_path / "series" / "b.csv").read_text().splitlines()
     cells = lines[5].split(",")[1:]     # data row 4
@@ -687,6 +700,15 @@ def prepared(tmp_path):
     return prepared
 
 
+def test_report_counts_missing_cells(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path))
+    missing = np.isnan(load_corpus(manifest)[0].values)
+    _, report = prepare_corpus(manifest, threshold_km=20.0)
+    assert report["missing_pct"] == 100.0 * missing.mean() > 0.0
+    assert report["missing_pct_by_feature"] == {name: 100.0 * missing[:, :, k].mean()
+                                                for k, name in enumerate(FEATURES)}
+
+
 @pytest.mark.parametrize("split", SPLIT_NAMES)
 def test_windows_stay_inside_their_split(prepared, split):
     lo, hi = prepared.splits[split]
@@ -774,4 +796,76 @@ def test_cache_without_an_array_refused(prepared, tmp_path):
     del arrays["edge_std"]
     save_arrays(path, arrays, meta)
     with pytest.raises(DataError, match=re.escape(f"{path}: cache lacks the metadata key or array 'edge_std'")):
+        PreparedData.load(path)
+
+
+def test_missing_cache_file_refused(tmp_path):
+    path = tmp_path / "cache.bin"
+    with pytest.raises(DataError, match=re.escape(f"{path}: cannot read input file")):
+        PreparedData.load(path)
+
+
+def set_array(name, edit):
+    return lambda arrays, meta: arrays.__setitem__(name, edit(arrays[name]))
+
+
+def set_meta(name, edit):
+    return lambda arrays, meta: meta.__setitem__(name, edit(meta[name]))
+
+
+#: Rewrites of one field of a valid cache of 120 rows (train 0-72, val 72-96, test 96-120), 3 stations
+#: and 9 features, and the fault each must be refused for.
+CACHE_FAULTS = {
+    "overlapping splits": (set_array("split_bounds", lambda b: np.array([[0, 72], [48, 96], [96, 120]])),
+                           "split bounds [[0, 72], [48, 96], [96, 120]] do not tile the 120 rows in order"),
+    "split past the rows": (set_array("split_bounds", lambda b: np.array([[0, 72], [72, 96], [96, 130]])),
+                            "do not tile the 120 rows"),
+    "empty split": (set_array("split_bounds", lambda b: np.array([[0, 72], [72, 72], [72, 120]])),
+                    "do not tile the 120 rows"),
+    "splits out of order": (set_array("split_bounds", lambda b: np.array([[48, 120], [24, 48], [0, 24]])),
+                            "do not tile the 120 rows"),
+    "two splits": (set_array("split_bounds", lambda b: b[:2]), "array 'split_bounds' has shape (2, 2), expected (3, 2)"),
+    "x shorter than timestamps": (set_array("x", lambda x: x[10:]),
+                                  "array 'x' has shape (110, 3, 8), expected (120, 3, 8)"),
+    "y of two stations": (set_array("y", lambda y: y[:, :2]), "array 'y' has shape (120, 2), expected (120, 3)"),
+    "node_mean one short": (set_array("node_mean", lambda m: m[:-1]),
+                            "array 'node_mean' has shape (8,), expected (9,)"),
+    "four edge statistics": (set_array("edge_std", lambda m: m[:-1]),
+                             "array 'edge_std' has shape (4,), expected (5,)"),
+    "reversed timestamps": (set_array("timestamps", lambda t: t[::-1]), "timestamps are not strictly increasing"),
+    "repeated timestamp": (set_array("timestamps", lambda t: np.r_[t[:1], t[:-1]]),
+                           "timestamps are not strictly increasing"),
+    "no pm25": (set_meta("features_kept", lambda f: [name if name != "pm25" else "pm10" for name in f]),
+                "features_kept lacks the target 'pm25'"),
+    "station_ids one short": (set_meta("station_ids", lambda ids: ids[:-1]),
+                              "array 'coords' has shape (3, 2), expected (2, 2)"),
+    "3-component wind": (set_array("wind", lambda w: np.concatenate([w, w[..., :1]], axis=-1)),
+                         "array 'wind' has shape (120, 3, 3), expected (120, 3, 2)"),
+    "3-column coords": (set_array("coords", lambda c: np.column_stack([c, c[:, :1]])),
+                        "array 'coords' has shape (3, 3), expected (3, 2)"),
+    "non-finite node mean": (set_array("node_mean", lambda m: np.r_[m[:-1], np.nan]),
+                             "statistics must be finite, with every std positive"),
+    "infinite edge mean": (set_array("edge_mean", lambda m: np.r_[m[:-1], np.inf]),
+                           "statistics must be finite, with every std positive"),
+    "zero node std": (set_array("node_std", lambda m: np.r_[0.0, m[1:]]),
+                      "statistics must be finite, with every std positive"),
+    "negative edge std": (set_array("edge_std", lambda m: -m), "statistics must be finite, with every std positive"),
+    "negative threshold": (set_meta("threshold_km", lambda t: -5.0),
+                           "threshold_km must be positive and finite, got -5.0"),
+    "NaN threshold": (set_meta("threshold_km", lambda t: float("nan")),
+                      "threshold_km must be positive and finite, got nan"),
+    "text threshold": (set_meta("threshold_km", lambda t: "20"),
+                       "threshold_km must be positive and finite, got '20'"),
+}
+
+
+@pytest.mark.parametrize("case", CACHE_FAULTS)
+def test_inconsistent_cache_refused(prepared, tmp_path, case):
+    edit, message = CACHE_FAULTS[case]
+    path = tmp_path / "cache.bin"
+    prepared.save(path)
+    arrays, meta = load_arrays(path)
+    edit(arrays, meta)
+    save_arrays(path, arrays, meta)
+    with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         PreparedData.load(path)

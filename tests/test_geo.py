@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -179,9 +180,9 @@ class TestBuildNetwork:
         with pytest.raises(DataError):
             build_network([S("a", 0, 0)], threshold_km=5.0)
 
-    @pytest.mark.parametrize("threshold", [0.0, -5.0])
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf, np.float64("nan")])
     def test_non_positive_threshold_rejected(self, threshold):
-        with pytest.raises(UsageError, match="distance threshold must be positive"):
+        with pytest.raises(UsageError, match="distance threshold must be positive and finite"):
             build_network([S("a", 0, 0), S("b", 0.01, 0)], threshold_km=threshold)
 
     def test_duplicate_ids(self):
@@ -457,6 +458,28 @@ class TestStationIO:
         path.write_text("name,lat,lon\np1,1,2\n")
         with pytest.raises(DataError, match="header"):
             read_stations_csv(path)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "stations.csv"
+        with pytest.raises(DataError, match=re.escape(f"{path}: cannot read input file")):
+            read_stations_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ":1: expected header 'id,latitude,longitude', got ''"),
+        ("id,latitude,longitude\n\n  \n", ": no stations found"),
+        ("id,latitude,longitude\np1,25.0,85.0\n\np2,25.0\n", ":4: expected 3 fields, got 2"),
+        ('id,latitude,longitude\n"p\n1",25.0,85.0\np2,25.0\n', ":4: expected 3 fields, got 2"),
+        ("id,latitude,longitude\np1,25.0,85.0\np2,95.0,85.0\n", ":3: station 'p2': latitude 95.0 outside"),
+        ("id, latitude ,longitude\n p1 , 25.5 ,85.0\n", None),
+    ])
+    def test_blank_rows_field_counts_and_spaces(self, tmp_path, text, message):
+        path = tmp_path / "stations.csv"
+        path.write_text(text)
+        if message is None:
+            assert read_stations_csv(path) == [Station("p1", 25.5, 85.0)]
+        else:
+            with pytest.raises(DataError, match=re.escape(f"{path}{message}")):
+                read_stations_csv(path)
 
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "stations.csv"

@@ -53,10 +53,28 @@ def config(variant, network, h=3, f=2, node_dim=4, hidden=5, **kw):
                        forecast_steps=f, node_dim=node_dim, **kw)
 
 
+def parameter_count(model, prefix=""):
+    """Number of parameter entries whose name starts with ``prefix``."""
+    return sum(t.data.size for name, t in model.params.items() if name.startswith(prefix))
+
+
 class TestBuildVariant:
     def test_unknown_variant_rejected(self):
         with pytest.raises(UsageError, match="unknown variant"):
             ModelConfig(variant="lstm", hidden=4, history_steps=2, forecast_steps=1, node_dim=3)
+
+    @pytest.mark.parametrize("field, value, least", [
+        ("hidden", 8.5, 1), ("hidden", True, 1), ("hidden", 0, 1), ("history_steps", 2.5, 1),
+        ("forecast_steps", 0, 1), ("forecast_steps", np.int64(2), 1), ("node_dim", -1, 0), ("node_dim", "4", 0),
+    ], ids=["float hidden", "bool hidden", "zero hidden", "float history", "zero forecast", "numpy int forecast",
+            "negative node_dim", "text node_dim"])
+    def test_sizes_must_be_ints_in_range(self, field, value, least):
+        sizes = dict(hidden=4, history_steps=2, forecast_steps=1, node_dim=3)
+        with pytest.raises(UsageError, match=re.escape(f"{field} must be an int >= {least}, got {value!r}")):
+            ModelConfig(variant="gru", **dict(sizes, **{field: value}))
+
+    def test_node_dim_zero_is_allowed(self):
+        assert ModelConfig(variant="gru", hidden=4, history_steps=2, forecast_steps=1, node_dim=0).node_dim == 0
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_variant_is_the_only_switch(self, variant):
@@ -69,8 +87,8 @@ class TestBuildVariant:
     def test_gru_variant_has_no_graph_parameters(self):
         net = toy_network()
         model = Forecaster(config("gru", net), network=None, seed=0)
-        assert model.graph_parameter_count() == 0
-        assert model.attention_parameter_count() == 0
+        assert parameter_count(model, "encoder.conv") == 0
+        assert parameter_count(model, "decoder.attention") == 0
 
     def test_attention_is_the_only_difference_between_top_variants(self):
         net = toy_network()
@@ -81,7 +99,7 @@ class TestBuildVariant:
         assert gnn_names < agnn_names
         only_in_agnn = agnn_names - gnn_names
         assert only_in_agnn and all(n.startswith("decoder.attention") for n in only_in_agnn)
-        assert agnn.parameter_count() - gnn.parameter_count() == agnn.attention_parameter_count()
+        assert all(agnn.params[n].data.shape == gnn.params[n].data.shape for n in gnn_names)
 
     def test_parameter_count_matches_shape_accounting(self):
         net = toy_network()
@@ -100,7 +118,7 @@ class TestBuildVariant:
         expected += 3 * (16 * (16 + spacetime + 1) + 16)               # decoder gru
         expected += 16 * 16 + (16 * 32 + 16)                           # attention score + out
         expected += (16 * 16 + 16) + (1 * 16 + 1)                      # decoder head
-        assert model.parameter_count() == expected
+        assert parameter_count(model) == expected
 
     def test_mean_coefficients_of_each_sink_sum_to_one(self):
         net = toy_network(n=6, seed=2)
@@ -393,7 +411,7 @@ class TestGradients:
                 fd, analytic = (up - down) / 2e-5, tensor.grad.reshape(-1)[k]
                 assert abs(analytic - fd) <= 1e-3 * max(abs(analytic), abs(fd)) + 1e-8, (name, k)
             checked += len(entries)
-        assert checked < model.parameter_count()
+        assert checked < parameter_count(model)
 
 
 class TestDecoder:
@@ -469,6 +487,17 @@ class TestCheckpoint:
         path = self.write(tmp_path / "m.bin", variant="lstm")
         message = f"{path}: checkpoint config does not fit this model: unknown variant 'lstm'"
         with pytest.raises(DataError, match=re.escape(message)):
+            Forecaster.load(path)
+
+    def test_negative_node_dim_rejected(self, tmp_path):
+        path = self.write(tmp_path / "m.bin", node_dim=-1)
+        message = f"{path}: checkpoint config does not fit this model: node_dim must be an int >= 0, got -1"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Forecaster.load(path)
+
+    def test_missing_checkpoint_file_rejected(self, tmp_path):
+        path = tmp_path / "absent.bin"
+        with pytest.raises(DataError, match=re.escape(f"{path}: cannot read input file")):
             Forecaster.load(path)
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
