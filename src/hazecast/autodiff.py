@@ -7,18 +7,21 @@ accumulate across multiple backward calls (sum over a batch); reset leaves
 with :func:`zero_grads` between optimizer steps.
 
 Only the primitives the forecasting layers and their losses need are
-implemented: elementwise ``+``, ``-`` and ``*`` with broadcasting, tanh, the
-sum and mean of all entries, joining 2-D tensors by columns or rows, and row
-blocks.  :func:`segment_sum` sums rows by index in time and memory linear in
-the number of rows summed.  Everything runs single-threaded over numpy (see
+implemented: ``+``, ``-`` and ``*`` of two tensors of one shape (``*`` also
+takes a Python number, as a node with one parent), tanh, the sum and mean of
+all entries, joining 2-D tensors by columns or rows, and row blocks.
+:func:`segment_sum` sums rows by index in time and memory linear in the
+number of rows summed.  Everything runs single-threaded over numpy (see
 :func:`single_threaded_blas`), so identical inputs give bit-identical results.
-``backward`` adds gradients in place, but only into arrays it allocated
-itself.  A row block (:meth:`Tensor.rows`) is a view of a run of its parent's
-rows; ``backward`` adds the gradients of all blocks of one parent, which may
-touch, overlap or repeat, into one buffer the size of that parent.
+``backward`` sums each tensor's gradients into a zeroed buffer it allocated,
+so it never writes an array it was handed.  A row block (:meth:`Tensor.rows`)
+is a view of a run of its parent's rows; its gradient goes into those rows of
+the parent's buffer, so blocks of one parent may touch, overlap or repeat.
 
-A layer can also record one fused node through :meth:`Tensor._make`, with
-every weight as a parent and a hand-derived backward; what such a node keeps
+The tape records only what needs a gradient.  A layer records one fused node
+through :meth:`Tensor._make`, with its inputs and every weight as parents
+and a hand-derived backward; data that nothing learns, such as the graph
+layers' edge attributes, comes in as a plain array.  What such a node keeps
 alive until backward is whatever its backward closure refers to.  The layers
 of :mod:`hazecast.layers` do so and keep only small arrays: ``Linear`` its
 input; ``TransformerConv`` its (nodes, d) query terms and edge-input sums and
@@ -100,19 +103,6 @@ def single_threaded_blas():
     finally:
         if prev != 1:
             threads[1](prev)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 def segment_sum(values, index, n_rows: int, cache: dict | None = None) -> np.ndarray:
@@ -204,26 +194,24 @@ class Tensor:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _same_shape(self, other, op: str) -> "Tensor":
         other = self._wrap(other)
-        out_data = self.data + other.data
+        if other.shape != self.shape:
+            raise ValueError(f"{op} needs operands of one shape, got {self.shape} and {other.shape}")
+        return other
 
-        def backward(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)
-
-        return Tensor._make(out_data, (self, other), backward)
+    def __add__(self, other):
+        other = self._same_shape(other, "+")
+        return Tensor._make(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __sub__(self, other):
-        return self + self._wrap(other) * -1.0
+        return self + self._same_shape(other, "-") * -1.0
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            return _unbroadcast(g * other.data, self.shape), _unbroadcast(g * self.data, other.shape)
-
-        return Tensor._make(out_data, (self, other), backward)
+        if isinstance(other, (int, float)):
+            return Tensor._make(self.data * other, (self,), lambda g: (g * other,))
+        other = self._same_shape(other, "*")
+        return Tensor._make(self.data * other.data, (self, other), lambda g: (g * other.data, g * self.data))
 
     # -- elementwise nonlinearities -----------------------------------------
 
@@ -258,7 +246,6 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
 
         # Iterative topological order; recursion would overflow on long
         # unrolled sequences.
@@ -276,28 +263,17 @@ class Tensor:
             else:
                 order.append(node)
 
-        # A handed-over array may be shared (``__add__`` passes its gradient
-        # on as is), so the first write keeps it and the next adds into a
-        # copy; a row block's first write zeroes a buffer the size of its parent.
         grads: dict[int, np.ndarray] = {}
-        owned: set[int] = set()
 
         def accumulate(node: Tensor, g: np.ndarray, rows: slice | None) -> None:
-            key, leaf = id(node), node._backward is None
-            buf = node.grad if leaf else grads.get(key)
-            if buf is None and rows is None:
-                buf = np.array(np.broadcast_to(g, node.shape)) if leaf else g
-            else:
-                if buf is None:
-                    buf = np.zeros(node.shape)
-                elif not (leaf or key in owned):
-                    buf = buf.copy()
-                buf[rows or ...] += g
-                owned.add(key)
-            if leaf:
-                node.grad = buf
-            else:
-                grads[key] = buf
+            buf = node.grad if node._backward is None else grads.get(id(node))
+            if buf is None:
+                buf = np.zeros(node.shape)
+                if node._backward is None:
+                    node.grad = buf
+                else:
+                    grads[id(node)] = buf
+            buf[rows or ...] += g
 
         accumulate(self, grad, None)
         for node in reversed(order):

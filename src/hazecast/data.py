@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import single_threaded_blas
 from .container import load_arrays, save_arrays
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_size
 from .geo import (
     EDGE_FEATURES,
     Station,
@@ -462,7 +462,6 @@ class WindowSample:
     coords: np.ndarray                # (L, 2) latitude, longitude
     y_future: np.ndarray | None = None        # (F, L)
     edge_feats: np.ndarray | None = None      # (H, E, 5), columns as geo.EDGE_FEATURES
-    timestamps_future: np.ndarray | None = None  # (F,) datetime64
 
     @property
     def history_steps(self) -> int:
@@ -544,8 +543,8 @@ class PreparedData:
         """
         if split not in self.splits:
             raise UsageError(f"unknown split {split!r}")
-        if history_steps < 1 or forecast_steps < 1:
-            raise UsageError("history and forecast lengths must be positive")
+        check_size("history_steps", history_steps)
+        check_size("forecast_steps", forecast_steps)
         lo, hi = self.splits[split]
         edge_feats = edge_attributes_at(self.network(), self.wind[lo:hi])
         edge_feats -= self.edge_mean
@@ -562,7 +561,6 @@ class PreparedData:
                 spacetime=self.spacetime[start:end],
                 coords=self.coords,
                 edge_feats=edge_feats[start - lo:mid - lo],
-                timestamps_future=self.timestamps[mid:end],
             ))
         return out
 

@@ -29,3 +29,9 @@ class NumericError(HazecastError):
     """Numeric failure: non-finite values, unstable process configuration."""
 
     exit_code = 3
+
+
+def check_size(name: str, value, least: int = 1) -> None:
+    """Raise ``UsageError`` unless ``value`` is an ``int`` >= ``least``; a bool is not a size."""
+    if type(value) is not int or value < least:
+        raise UsageError(f"{name} must be an int >= {least}, got {value!r}")

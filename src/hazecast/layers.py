@@ -3,23 +3,24 @@
 Every layer owns its weights as :class:`~hazecast.autodiff.Tensor` leaves, so
 analytic gradients of any composition come from ``Tensor.backward``.  Each
 layer, :class:`ScalarGraphConv` too, records one tape node per call, built
-with ``Tensor._make`` with every weight as a parent.  A GRU, attention or
-head step has one implementation, its class's ``_forward``, ``_backward`` and
-``_param_grads``, which the recurrences (``GruCell.unroll``, the model's
-decoder) run per step.  The model calls the embedding and the encoder unroll
-once per window and the graph layers once per union of hours
-(:meth:`GraphLayout.union`).  The affine map has one implementation,
-``Linear.apply`` and ``Linear.param_grads``, which the fused layers reuse.  A
-hand-derived backward keeps only small arrays (each class says which) and
-recomputes the rest, so the tape holds no (E, width) array between forward
-and backward.  The graph layers apply their maps on the node side of the edge
-sums, so their per-edge arrays are as wide as their inputs, not their output.
-Weight matrices are drawn uniformly from ±sqrt(1/fan_in) and biases start
-at zero.  Every map has a bias except the attention score and the graph
-layer's two key maps, whose bias a softmax would cancel, and its edge-message
-map, whose bias would only add to the message map's.  Softmaxes subtract a
-constant per-group maximum before exponentiating, which changes neither
-values nor gradients but avoids overflow on large logits.
+with ``Tensor._make`` with its input and every weight as parents; edge
+attributes and coefficients, calendar ids and coordinates are plain arrays.
+A GRU, attention or head step has one implementation, its class's
+``_forward``, ``_backward`` and ``_param_grads``, which the recurrences
+(``GruCell.unroll``, the model's decoder) run per step.  The model calls the
+embedding and the encoder unroll once per window and the graph layers once
+per union of hours (:meth:`GraphLayout.union`).  The affine map has one
+implementation, ``Linear.apply`` and ``Linear.param_grads``, which the fused
+layers reuse.  A hand-derived backward keeps only small arrays (each class
+says which) and recomputes the rest, so the tape holds no (E, width) array
+between forward and backward.  The graph layers apply their maps on the node
+side of the edge sums, so their per-edge arrays are as wide as their inputs,
+not their output.  Weight matrices are drawn uniformly from ±sqrt(1/fan_in)
+and biases start at zero.  Every map has a bias except the attention score
+and the graph layer's two key maps, whose bias a softmax would cancel, and
+its edge-message map, whose bias would only add to the message map's.
+Softmaxes subtract a constant per-group maximum before exponentiating, which
+changes neither values nor gradients but avoids overflow on large logits.
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def _segment_softmax(logits: np.ndarray, layout: GraphLayout) -> np.ndarray:
 class TransformerConv:
     """Attention-weighted message passing with per-edge attribute features.
 
+    The edge attributes are observed data, an (E, edge_dim) array that is not
+    on the tape and gets no gradient, like :class:`ScalarGraphConv`'s weights.
+
     For sink node i with in-neighbors j: out_i = root(P_i) +
     sum_j softmax_j(query(P_i) . (key(P_j) + edge_key(E_ji)) / sqrt(d)) *
     (msg(P_j) + edge_msg(E_ji)), where d is out_dim.  Nodes with no in-edges
@@ -265,15 +269,15 @@ class TransformerConv:
         self.w_edge_key = Linear(rng, edge_dim, out_dim, bias=False, name=f"{name}.edge_key")
         self.w_edge_msg = Linear(rng, edge_dim, out_dim, bias=False, name=f"{name}.edge_msg")
 
-    def __call__(self, nodes: Tensor, layout: GraphLayout, edge_feats: Tensor) -> Tensor:
+    def __call__(self, nodes: Tensor, layout: GraphLayout, edge_feats: np.ndarray) -> Tensor:
         _check_finite(f"{self.name} node input", nodes.data)
         if edge_feats.shape != (layout.n_edges, self.edge_dim):
             raise ValueError(
                 f"{self.name}: expected edge features ({layout.n_edges}, {self.edge_dim}), "
                 f"got {edge_feats.shape}"
             )
-        _check_finite(f"{self.name} edge input", edge_feats.data)
-        p, a = nodes.data, edge_feats.data
+        _check_finite(f"{self.name} edge input", edge_feats)
+        p, a = nodes.data, edge_feats
         src, dst, n_in = layout.src, layout.dst, self.node_dim
         scale = 1.0 / math.sqrt(self.out_dim)
 
@@ -302,23 +306,22 @@ class TransformerConv:
             d_alpha = np.einsum("ij,ij->i", d_x, x)[:, None]
             d_logits = alpha * (d_alpha - layout.aggregate(alpha * d_alpha)[dst]) * scale
             d_query_key = layout.aggregate(np.multiply(d_logits, x, out=x))
-            d_x *= alpha
-            np.take(query_key, dst, axis=0, out=x, mode="clip")  # unbuffered; forward checked dst
-            d_x += np.multiply(d_logits, x, out=x)
             d_query = d_query_key @ w_key.T
             d_nodes = None
-            if nodes.requires_grad:
+            if nodes.requires_grad:  # the edge rows' gradient, summed into their sources
+                d_x *= alpha
+                np.take(query_key, dst, axis=0, out=x, mode="clip")  # unbuffered; forward checked dst
+                d_x += np.multiply(d_logits, x, out=x)
                 d_nodes = (g @ self.w_root.weight.data + d_query @ self.w_query.weight.data
                            + layout.aggregate(d_x, "src")[:, :n_in])
             # columns of the side-by-side gradients: node map, edge map, shared bias
             # (K's last column is a constant zero, so its gradient goes unused)
             gk, gm = query.T @ d_query_key, g.T @ mixed
-            return (d_nodes, d_x[:, n_in:-1] if edge_feats.requires_grad else None,
-                    *self.w_root.param_grads(g, p), gm[:, :n_in], gm[:, -1],
+            return (d_nodes, *self.w_root.param_grads(g, p), gm[:, :n_in], gm[:, -1],
                     *self.w_query.param_grads(d_query, p), gk[:, :n_in], gk[:, n_in:-1],
                     gm[:, n_in:-1])
 
-        return Tensor._make(out, (nodes, edge_feats, *_weights(self)), backward)
+        return Tensor._make(out, (nodes, *_weights(self)), backward)
 
     def params(self):
         for lin in (self.w_root, self.w_msg, self.w_query, self.w_key,

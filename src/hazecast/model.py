@@ -36,7 +36,7 @@ import numpy as np
 from .autodiff import StepBuffers, Tensor, concat, no_grad, single_threaded_blas, zero_grads
 from .container import load_arrays, save_arrays
 from .data import WindowSample
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_size
 from .geo import EDGE_FEATURES, StationNetwork, inverse_distance_weights
 from .layers import (
     GraphLayout,
@@ -76,12 +76,10 @@ class ModelConfig:
     node_dim: int
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}")
         for name in ("hidden", "history_steps", "forecast_steps", "node_dim"):
-            value, least = getattr(self, name), 0 if name == "node_dim" else 1
-            if type(value) is not int or value < least:   # a bool is not a size
-                raise UsageError(f"{name} must be an int >= {least}, got {value!r}")
+            check_size(name, getattr(self, name), 0 if name == "node_dim" else 1)
 
     @property
     def use_attention(self) -> bool:
@@ -188,7 +186,7 @@ class Forecaster:
             for start in range(0, h_steps, k):
                 hours = min(k, h_steps - start)
                 edge = (np.tile(self.edge_coef, hours) if self.edge_coef is not None else
-                        Tensor(sample.edge_feats[start:start + hours].reshape(-1, len(EDGE_FEATURES))))
+                        sample.edge_feats[start:start + hours].reshape(-1, len(EDGE_FEATURES)))
                 convs.append(self.conv(nodes.rows(start * n, (start + hours) * n), self.layout.union(hours), edge))
             parts.append(concat(convs, axis=0))
         memory = self.encoder_gru.unroll(Tensor(np.zeros((n, cfg.hidden))), *parts)

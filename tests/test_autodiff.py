@@ -1,3 +1,6 @@
+import operator
+import re
+
 import numpy as np
 import pytest
 
@@ -82,22 +85,45 @@ def test_backward_requires_scalar():
 def test_forward_only_tensors_carry_no_graph():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
-    c = concat([a * b, b]).tanh() + concat([a, b]).rows(0, 1)
+    c = concat([a * b, b]).tanh() + concat([concat([a, b]), concat([b, a])], axis=0).rows(1, 3) - concat([a, b * 2.0])
     assert not c.requires_grad
     assert c._backward is None
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_elementwise_and_broadcast_gradients(seed):
+    # Operands of one shape; a broadcast operand is refused.
     rng = np.random.default_rng(seed)
-    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-    c = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+    a, b, c = (Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(3))
 
     def loss():
-        return (((a + b) * c - a * b) * (a * 0.5 + 1.3)).sum()
+        return (((a + b) * c - a * b) * (a * 0.5 + c)).sum()
 
     assert_gradients_match(loss, {"a": a, "b": b, "c": c})
+    with pytest.raises(ValueError):
+        a * Tensor(rng.normal(size=(1, 3)))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@pytest.mark.parametrize("other", [np.ones((1, 3)), np.ones((4, 1)), np.ones(3), np.ones((4, 3, 1)), np.array(2.0)],
+                         ids=["row", "column", "vector", "3-D", "0-D"])
+def test_elementwise_ops_refuse_other_shapes(op, other):
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    message = f"{op} needs operands of one shape, got (4, 3) and {other.shape}"
+    for operand in (other, Tensor(other, requires_grad=True)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply(x, operand)
+
+
+@pytest.mark.parametrize("number", [2.0, 3, np.float64(-0.5)])
+def test_times_a_number_is_a_one_parent_node(number):
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = x * number
+    assert y._parents == (x,)
+    assert np.array_equal(y.data, x.data * number)
+    y.sum().backward()
+    assert np.array_equal(x.grad, np.full((2, 3), float(number)))
 
 
 def test_nonlinearity_gradients():
@@ -113,7 +139,7 @@ def test_nonlinearity_gradients():
 def test_reduction_gradients():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    w = Tensor(rng.normal(size=(1, 5)))
+    w = Tensor(rng.normal(size=(4, 5)))
 
     def loss():
         return (x * w).sum() * x.mean() + (x * x).mean()

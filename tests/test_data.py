@@ -30,7 +30,7 @@ from hazecast.data import (
     spacetime_features,
     split_temporal,
 )
-from hazecast.errors import DataError
+from hazecast.errors import DataError, UsageError
 from hazecast.geo import edge_attributes_at
 
 
@@ -722,10 +722,17 @@ def test_windows_stay_inside_their_split(prepared, split):
         assert w.y_hist.tobytes() == prepared.y[start:start + h].tobytes()
         assert w.y_future.tobytes() == prepared.y[start + h:start + h + f].tobytes()
         assert w.edge_feats.tobytes() == edge_feats[k:k + h].tobytes()
-        assert prepared.timestamps[lo] < w.timestamps_future[0]
-        assert w.timestamps_future[-1] <= prepared.timestamps[hi - 1]
         w.validate()
     assert windows[0].edge_feats.base is windows[-1].edge_feats.base    # views of one array
+
+
+@pytest.mark.parametrize("lengths, field, value", [
+    ((True, 2), "history_steps", True), ((2.5, 2), "history_steps", 2.5), ((0, 2), "history_steps", 0),
+    ((4, 0), "forecast_steps", 0), ((4, np.int64(2)), "forecast_steps", np.int64(2)), ((4, "2"), "forecast_steps", "2"),
+], ids=["bool history", "float history", "zero history", "zero forecast", "numpy int forecast", "text forecast"])
+def test_window_lengths_must_be_ints(prepared, lengths, field, value):
+    with pytest.raises(UsageError, match=re.escape(f"{field} must be an int >= 1, got {value!r}")):
+        prepared.windows("train", *lengths)
 
 
 def test_graph_built_once_per_prepared_data(prepared, tmp_path, monkeypatch):

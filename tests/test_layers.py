@@ -202,7 +202,7 @@ class TestGraphLayout:
         conv = TransformerConv(rng, node_dim=3, out_dim=16, edge_dim=2)
         layout = tiny_graph()
         nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        feats = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        feats = rng.normal(size=(3, 2))
         conv(nodes, layout, feats).sum().backward()
         cells = {side: dict(by_width) for side, by_width in layout._cells.items()}
         for _ in range(3):
@@ -281,7 +281,7 @@ class TestTransformerConv:
         conv = TransformerConv(rng, node_dim=4, out_dim=3, edge_dim=5)
         layout = GraphLayout(np.zeros((0, 2)), n_nodes=3)
         nodes = rng.normal(size=(3, 4))
-        out = conv(Tensor(nodes), layout, Tensor(np.zeros((0, 5))))
+        out = conv(Tensor(nodes), layout, np.zeros((0, 5)))
         expected = nodes @ conv.w_root.weight.data.T + conv.w_root.bias.data
         assert np.array_equal(out.data, expected)
 
@@ -291,7 +291,7 @@ class TestTransformerConv:
         layout = tiny_graph()
         nodes = rng.normal(size=(3, 4))
         feats = rng.normal(size=(3, 5))
-        out = conv(Tensor(nodes), layout, Tensor(feats))
+        out = conv(Tensor(nodes), layout, feats)
         expected1 = conv.w_root.weight.data @ nodes[1] + conv.w_root.bias.data
         assert np.allclose(out.data[1], expected1)
 
@@ -301,7 +301,7 @@ class TestTransformerConv:
         layout = GraphLayout(np.array([[0, 1]]), n_nodes=2)
         nodes = rng.normal(size=(2, 3))
         feats = rng.normal(size=(1, 5))
-        out = conv(Tensor(nodes), layout, Tensor(feats))
+        out = conv(Tensor(nodes), layout, feats)
         root = nodes[1] @ conv.w_root.weight.data.T + conv.w_root.bias.data
         msg = (nodes[0] @ conv.w_msg.weight.data.T + conv.w_msg.bias.data
                + feats[0] @ conv.w_edge_msg.weight.data.T)
@@ -316,7 +316,7 @@ class TestTransformerConv:
         layout = GraphLayout(edges, n_nodes=n)
         nodes = rng.normal(size=(n, 4))
         feats = rng.normal(size=(len(edges), 2))
-        out = conv(Tensor(nodes), layout, Tensor(feats)).data
+        out = conv(Tensor(nodes), layout, feats).data
         expected = dense_conv_oracle(conv, nodes, edges, feats)
         assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
 
@@ -342,7 +342,7 @@ class TestTransformerConv:
         edges = np.array([[0, 1], [1, 0], [2, 1], [0, 2]])
         nodes = rng.normal(size=(3, 3))
         feats = rng.normal(size=(4, 2))
-        base = conv(Tensor(nodes), GraphLayout(edges, 3), Tensor(feats)).data
+        base = conv(Tensor(nodes), GraphLayout(edges, 3), feats).data
 
         perm = np.array([2, 0, 1])  # new index of each old node
         mapped = np.array([[perm[s], perm[d]] for s, d in edges])
@@ -350,7 +350,7 @@ class TestTransformerConv:
         permuted = conv(
             Tensor(nodes[np.argsort(perm)]),
             GraphLayout(mapped[order], 3),
-            Tensor(feats[order]),
+            feats[order],
         ).data
         assert np.allclose(permuted[perm], base, rtol=1e-12, atol=1e-13)
 
@@ -358,21 +358,21 @@ class TestTransformerConv:
         rng = np.random.default_rng(0)
         conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=5)
         with pytest.raises(ValueError):
-            conv(Tensor(np.zeros((3, 3))), tiny_graph(), Tensor(np.zeros((3, 4))))
+            conv(Tensor(np.zeros((3, 3))), tiny_graph(), np.zeros((3, 4)))
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
         conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
         layout = tiny_graph()
         nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        feats = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        feats = rng.normal(size=(3, 2))
         probe = rng.normal(size=(3, 2))
 
         def loss():
             return (conv(nodes, layout, feats) * probe).sum()
 
         tensors = params_dict(conv)
-        tensors["nodes"], tensors["edge_feats"] = nodes, feats
+        tensors["nodes"] = nodes
         assert_gradients_match(loss, tensors)
 
     @pytest.mark.parametrize("oracle_key_biases", [True, False])
@@ -389,7 +389,7 @@ class TestTransformerConv:
             t.data[...] = rng.normal(size=t.shape)
         layout = GraphLayout(np.array(edges, dtype=np.int64).reshape(-1, 2), n_nodes=4)
         nodes = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        feats = Tensor(rng.normal(size=(len(edges), 2)), requires_grad=True)
+        feats = rng.normal(size=(len(edges), 2))
         probe = rng.normal(size=(4, 2))
 
         out = conv(nodes, layout, feats).data
@@ -397,7 +397,7 @@ class TestTransformerConv:
         if oracle_key_biases:  # the softmax cancels them, so the conv has none
             for tag in ("key", "edge_key"):
                 weights[f"{conv.name}.{tag}.bias"] = rng.normal(scale=3.0, size=conv.out_dim)
-        expected = ref_transformer_conv(weights, conv.name, conv.out_dim, nodes.data, edges, feats.data)
+        expected = ref_transformer_conv(weights, conv.name, conv.out_dim, nodes.data, edges, feats)
         assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
         isolated = layout.in_degree == 0
         assert np.array_equal(out[isolated], conv.w_root.apply(nodes.data)[isolated])
@@ -406,7 +406,7 @@ class TestTransformerConv:
             return (conv(nodes, layout, feats) * probe).sum()
 
         tensors = params_dict(conv)
-        tensors["nodes"], tensors["edge_feats"] = nodes, feats
+        tensors["nodes"] = nodes
         assert_gradients_match(loss, tensors)
 
     def test_edge_message_bias_is_the_message_bias(self):
@@ -423,32 +423,28 @@ class TestTransformerConv:
         split = {name: t.data.copy() for name, t in conv.params()}
         split["conv.edge_msg.bias"] = rng.normal(size=2)
         split["conv.msg.bias"] -= split["conv.edge_msg.bias"]
-        out = conv(Tensor(nodes), GraphLayout(np.array(edges), n_nodes=3), Tensor(feats)).data
+        out = conv(Tensor(nodes), GraphLayout(np.array(edges), n_nodes=3), feats).data
         expected = ref_transformer_conv(split, conv.name, conv.out_dim, nodes, edges, feats)
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
 
     def test_gradients_with_constant_edge_features(self):
+        # Edge attributes are data: backward reads them and writes nothing into them.
         rng = np.random.default_rng(21)
         conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
-        layout = tiny_graph()
         nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        feats = Tensor(rng.normal(size=(3, 2)))
-        probe = rng.normal(size=(3, 2))
-
-        def loss():
-            return (conv(nodes, layout, feats) * probe).sum()
-
-        tensors = params_dict(conv)
-        tensors["nodes"] = nodes
-        assert_gradients_match(loss, tensors)
-        assert feats.grad is None
+        feats = rng.normal(size=(3, 2))
+        kept = feats.copy()
+        (conv(nodes, tiny_graph(), feats) * rng.normal(size=(3, 2))).sum().backward()
+        assert feats.tobytes() == kept.tobytes()
+        assert all(t.grad is not None for _, t in conv.params()) and nodes.grad is not None
 
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(22)
         conv = TransformerConv(rng, node_dim=3, out_dim=2, edge_dim=2)
         nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        feats = Tensor(rng.normal(size=(3, 2)))
-        assert recorded_nodes(conv(nodes, tiny_graph(), feats), stop=(nodes, feats)) == 1
+        out = conv(nodes, tiny_graph(), rng.normal(size=(3, 2)))
+        assert recorded_nodes(out, stop=(nodes,)) == 1
+        assert out._parents == (nodes, *(t for _, t in conv.params()))   # the nodes and the weights only
 
 
 # ---------------------------------------------------------------- scalar-weight conv
@@ -553,17 +549,15 @@ class TestGraphUnion:
         nodes = Tensor(rng.normal(size=(hours * n, 4)), requires_grad=True)
         if kind == "transformer":
             conv = TransformerConv(rng, node_dim=4, out_dim=3, edge_dim=2)
-            feats = Tensor(rng.normal(size=(hours * e, 2)), requires_grad=True)
-            inputs = {"nodes": nodes, "edge_feats": feats}
-            union_edge, hour_edge = feats, (lambda t: feats.rows(t * e, (t + 1) * e))
+            feats = rng.normal(size=(hours * e, 2))
+            union_edge, hour_edge = feats, (lambda t: feats[t * e:(t + 1) * e])
         else:
             conv = ScalarGraphConv(rng, node_dim=4, out_dim=3)
             coef = rng.uniform(0.2, 1.0, size=e)
-            inputs = {"nodes": nodes}
             union_edge, hour_edge = np.tile(coef, hours), (lambda t: coef)
         for _, t in conv.params():
             t.data[...] = rng.normal(size=t.shape)
-        tensors = {**params_dict(conv), **inputs}
+        tensors = {**params_dict(conv), "nodes": nodes}
         probe = rng.normal(size=(hours * n, 3))
 
         def run(union):
@@ -583,7 +577,7 @@ class TestGraphUnion:
         (out_union, grads_union), (out_hours, grads_hours) = run(True), run(False)
         assert out_union.tobytes() == out_hours.tobytes()
         for name, grad in grads_union.items():
-            if name in inputs:
+            if name == "nodes":
                 assert grad.tobytes() == grads_hours[name].tobytes(), name
             else:
                 assert np.allclose(grad, grads_hours[name], rtol=1e-13, atol=1e-14), name

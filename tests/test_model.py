@@ -63,6 +63,11 @@ class TestBuildVariant:
         with pytest.raises(UsageError, match="unknown variant"):
             ModelConfig(variant="lstm", hidden=4, history_steps=2, forecast_steps=1, node_dim=3)
 
+    @pytest.mark.parametrize("variant", [["gru"], None, 3], ids=["list", "None", "int"])
+    def test_non_string_variant_rejected(self, variant):
+        with pytest.raises(UsageError, match=re.escape(f"unknown variant {variant!r}")):
+            ModelConfig(variant=variant, hidden=4, history_steps=2, forecast_steps=1, node_dim=3)
+
     @pytest.mark.parametrize("field, value, least", [
         ("hidden", 8.5, 1), ("hidden", True, 1), ("hidden", 0, 1), ("history_steps", 2.5, 1),
         ("forecast_steps", 0, 1), ("forecast_steps", np.int64(2), 1), ("node_dim", -1, 0), ("node_dim", "4", 0),
@@ -175,7 +180,7 @@ class TestForward:
         n, hn = net.n_stations, cfg.history_steps * net.n_stations
         xbar = model.embed(sample.spacetime, sample.coords)
         p = concat([Tensor(sample.x.reshape(hn, -1)), xbar.rows(0, hn), Tensor(sample.y_hist.reshape(hn, 1))])
-        edge = Tensor(sample.edge_feats.reshape(-1, sample.edge_feats.shape[2]))
+        edge = sample.edge_feats.reshape(-1, sample.edge_feats.shape[2])
         g = model.conv(p, model.layout.union(cfg.history_steps), edge)
         h = Tensor(np.zeros((n, cfg.hidden)))
         history = []
