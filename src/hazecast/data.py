@@ -41,6 +41,8 @@ from .kvfile import csv_rows, read_keyvalue, read_text
 FEATURES = ("rh", "temp", "pm25", "pbl", "u10", "v10", "kindex", "sp", "tp")
 TARGET = "pm25"
 SERIES_HEADER = ("timestamp",) + FEATURES
+SERIES_ROW = np.dtype([("timestamp", "datetime64[m]"), ("values", float, (len(FEATURES),))])
+PLAIN_BYTES = b"0123456789eE+-.,:T \r\n"   # every byte of a series file's body that loadtxt may read
 CACHE_VERSION = 2
 MANIFEST_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
@@ -169,21 +171,22 @@ def _load_series(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """(timestamps, values) of one station, reading the file once; an empty cell becomes NaN.
 
     A plain file (the header, then rows of digits, signs, points, exponents,
-    colons, ``T``, spaces and commas) goes to ``np.loadtxt``, its empty cells
-    set to ``nan``.  Any other file, or one loadtxt or the checks after it
-    reject, goes to the row parser, which reports faults with ``file:line``.
+    colons, ``T``, spaces and commas) goes to one ``np.loadtxt`` call that
+    parses the timestamps and the values, its empty cells set to ``nan``.
+    Any other file, or one loadtxt or the check after it reject, goes to the
+    row parser, which reports faults with ``file:line``.
     """
     text = read_text(path)
     header, _, body = text.partition("\n")
-    lines = [line for line in re.sub(r", *(?=[,\r\n]|\Z)", ",nan", body).splitlines() if line.strip(" ")]
-    stamps, rest = zip(*(line.partition(",")[::2] for line in lines)) if lines else ((), ())
+    cells = re.sub(r", *(?=[,\r\n]|\Z)", ",nan", body)
+    if re.search(r" (?:[,\r\n]|\Z)", cells):   # loadtxt takes "00:00 ," for a zoned time, "  " for a row
+        cells = re.sub(r" +(?=[,\r\n]|\Z)", "", cells)
     if ([h.strip(" ") for h in header.removesuffix("\r").split(",")] == list(SERIES_HEADER)
-            and re.fullmatch(r"[0-9eE+\-.,:T \r\n]*", body) and lines and all(rest)):
-        try:   # all(rest): loadtxt would skip a row without a comma
-            values = np.loadtxt(rest, delimiter=",", ndmin=2)
-            timestamps = np.array([s.strip(" ") for s in stamps], dtype="datetime64[m]")
-            if values.shape == (len(lines), len(FEATURES)) and not np.isinf(values).any():
-                return timestamps, values
+            and not body.encode().translate(None, PLAIN_BYTES) and cells.strip("\r\n")):
+        try:   # a row with other than one field per header column raises; an empty line is skipped
+            rows = np.loadtxt(cells.splitlines(), delimiter=",", dtype=SERIES_ROW, ndmin=1)
+            if not np.isinf(rows["values"]).any():
+                return rows["timestamp"].copy(), rows["values"]   # a view would keep all of rows alive
         except ValueError:
             pass
     return _parse_rows(path, text)
@@ -300,9 +303,12 @@ def impute_chained(panel: RawPanel) -> RawPanel:
     of stations: for feature c, the stations whose gap count in c rounds up to
     the same power of two form a group, and each group's gather is padded to
     that width with a zero row, so no station carries more than twice its own
-    gaps.  One batched solve per (feature, sweep) then serves every station.
-    Fills agree with a per-station ``lstsq`` loop to 1e-8 of each feature's
-    std (about 1e-11 on the benchmark corpora); as normal equations, the error
+    gaps.  One batched solve per (feature, sweep) then serves every station:
+    a Cholesky factorization of all stations at once, whose bound certifies a
+    station's Gram as full rank, and an eigendecomposition that gives the
+    least-norm fill of every station it does not certify.  Fills agree with a
+    per-station ``lstsq`` loop to 1e-8 of each feature's std (about 1e-11 on
+    the benchmark corpora); as both paths solve normal equations, the error
     grows with the square of a design's condition number.  BLAS runs on one
     thread.
     """
@@ -319,17 +325,17 @@ def impute_chained(panel: RawPanel) -> RawPanel:
         st, c = np.argwhere(n_obs < 2)[0]
         raise DataError(f"station {panel.station_ids[gappy[st]]!r}, feature {panel.features[c]!r}: "
                         f"only {n_obs[st, c]} observed values; cannot impute")
-    centre = z.mean(axis=1, where=observed)
-    low = z.min(axis=1, where=observed, initial=np.inf)
-    constant = low == z.max(axis=1, where=observed, initial=-np.inf)
-    z -= centre[:, None]
+    low = np.fmin.reduce(z, axis=1)   # fmin and fmax skip the NaN of a missing cell
+    constant = low == np.fmax.reduce(z, axis=1)
     z[~observed] = 0.0
+    centre = z.sum(axis=1) / n_obs
+    np.subtract(z, centre[:, None], out=z, where=observed)
     scale = np.where(constant, 1.0, np.sqrt(np.einsum("stc,stc->sc", z, z) / n_obs))
     z /= scale[:, None]
     groups = [_gap_groups(observed, c, gappy, panel.n_stations) for c in range(n_feat)]
     design_rows, design_cells, panel_cells = design.reshape(-1, n_feat + 1), design.ravel(), values.ravel()
     gram = design.transpose(0, 2, 1) @ design
-    for _ in range(IMPUTATION_SWEEPS):
+    for sweep in range(IMPUTATION_SWEEPS):
         for c, feature_groups in enumerate(groups):
             reduced = gram.copy()
             gathered = []
@@ -346,8 +352,9 @@ def impute_chained(panel: RawPanel) -> RawPanel:
                 gram[at, c + 1] += cross
                 gram[at, :, c + 1] += cross
                 gram[at, c + 1, c + 1] += (change * change).sum(axis=1)
-                design_cells[in_design] += change[real]
-                panel_cells[in_panel] = pred[real]
+                design_cells[in_design] = (rows[..., c + 1] + change)[real]
+                if sweep == IMPUTATION_SWEEPS - 1:   # the panel keeps the last sweep's fills only
+                    panel_cells[in_panel] = pred[real]
     out = replace(panel, values=values)
     out.validate()
     return out
@@ -382,9 +389,63 @@ def _gap_groups(observed: np.ndarray, c: int, gappy: np.ndarray, n_stations: int
 def _least_norm_coef(gram: np.ndarray, c: int, centre: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """(S, C+1) coefficients on the scaled design predicting feature ``c`` in its units.
 
-    ``gram`` spans the rows where ``c`` is observed.  Eigenvalues up to
-    ``n_rows * eps`` of the largest count as zero; the solution is then the
-    one of least norm in original units, as ``np.linalg.lstsq`` returns it.
+    ``gram`` spans the rows where ``c`` is observed.  A station whose Gram
+    ``A`` of the other columns :func:`_cholesky_inverse` certifies as full rank
+    is solved as ``L^-T L^-1 b``; every other station goes, batched, to
+    :func:`_eigh_least_norm_coef`.  Both paths solve the normal equations.
+    """
+    others = np.arange(gram.shape[1]) != c + 1
+    inverse, certified = _cholesky_inverse(gram[:, others][:, :, others], gram[:, 0, 0])
+    rhs = gram[:, others, c + 1].T
+    half = sum(inverse[:, k] * rhs[k] for k in range(len(rhs)))   # L^-1 b, summed in a fixed order
+    coef = sum(inverse[k] * half[k] for k in range(len(rhs))).T
+    coef *= scale[:, c, None]
+    coef[:, 0] += centre[:, c]
+    coef = np.insert(coef, c + 1, 0.0, axis=1)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        coef[rest] = _eigh_least_norm_coef(gram[rest], c, centre[rest], scale[rest])
+    return coef
+
+
+def _cholesky_inverse(a: np.ndarray, n_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(L^-1, certified)`` of the (S, n, n) Grams ``a = L L^T``; ``L^-1`` is (n, n, S), stations last.
+
+    ``L`` is built column by column over all stations at once, so a station
+    that is not positive definite fails alone.  A station is certified when
+    ``1 / |L^-1|_F^2``, a lower bound on its least eigenvalue, exceeds
+    ``n_rows * eps * trace(a)``, an upper bound on the null threshold of
+    :func:`_eigh_least_norm_coef`.  No pivot is below that lower bound, so a
+    station fails at its first pivot under the threshold, which is then
+    replaced by 1 to keep its arithmetic finite.  Products are summed in
+    index order, so a station's bits do not depend on the other stations.
+    """
+    n_st, n, _ = a.shape
+    threshold = n_rows * np.finfo(float).eps * np.einsum("sii->s", a)
+    lower, inverse = np.zeros((n, n, n_st)), np.zeros((n, n, n_st))
+    certified = np.ones(n_st, dtype=bool)
+    for j in range(n):
+        column = a[:, j:, j].T.copy()
+        for k in range(j):
+            column -= lower[j:, k] * lower[j, k]
+        certified &= column[0] > threshold
+        lower[j, j] = np.sqrt(np.where(certified, column[0], 1.0))
+        lower[j + 1:, j] = column[1:] / lower[j, j]
+    for i in range(n):
+        inverse[i, i] = 1.0 / lower[i, i]
+        for k in range(i):
+            inverse[i, :i] -= lower[i, k] * inverse[k, :i]
+        inverse[i, :i] *= inverse[i, i]
+    certified &= (inverse * inverse).sum(axis=(0, 1)) * threshold < 1.0
+    return inverse, certified
+
+
+def _eigh_least_norm_coef(gram: np.ndarray, c: int, centre: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """:func:`_least_norm_coef` by eigendecomposition, for Grams that may be singular.
+
+    Eigenvalues up to ``n_rows * eps`` of the largest count as zero; the
+    solution is then the one of least norm in original units, as
+    ``np.linalg.lstsq`` returns it.
     """
     others = np.arange(gram.shape[1]) != c + 1
     lam, vec = np.linalg.eigh(gram[:, others][:, :, others])

@@ -13,12 +13,17 @@ from .errors import DataError
 
 
 def read_text(path) -> str:
-    """The whole text of input file ``path``, line endings as written."""
+    """The whole text of input file ``path``, decoded as UTF-8, line endings as written."""
     try:
-        with open(path, newline="") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: cannot read input file ({exc.strerror})") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
 
 
 def read_keyvalue(path) -> dict[str, str]:

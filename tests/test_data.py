@@ -197,13 +197,13 @@ def gappy_panel():
 
 def test_imputation_runs_blas_on_one_thread(blas_threads, monkeypatch):
     seen = []
-    eigh = np.linalg.eigh
+    solve = hazecast.data._least_norm_coef
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         seen.append(blas_threads())
-        return eigh(*args, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(hazecast.data, "_least_norm_coef", spy)
     impute_chained(gappy_panel())
     assert seen and set(seen) == {1}
     assert blas_threads() == 2
@@ -367,6 +367,39 @@ def test_imputation_rank_deficient_design_gives_least_norm_fill(kind):
     assert_matches_oracle(rank_deficient_panel(kind))
 
 
+def design_grams(seed, stations=6, rows=200, features=5):
+    """(gram, centre, scale) of scaled designs ``[1, features]`` of correlated features, as imputation keeps them."""
+    rng = np.random.default_rng(seed)
+    design = np.ones((stations, rows, features + 1))
+    design[:, :, 1:] = rng.normal(size=(stations, rows, features)) @ rng.normal(size=(stations, features, features))
+    centre = rng.normal(size=(stations, features)) * 10.0
+    scale = rng.uniform(0.1, 100.0, size=(stations, features))
+    return design.transpose(0, 2, 1) @ design, centre, scale
+
+
+def test_cholesky_solve_routes_a_singular_station_alone_to_eigh():
+    gram, centre, scale = design_grams(4)
+    gram[3, 3, :] = gram[3, :, 3] = 0.0   # station 3's feature 2 is constant: its scaled column is zero
+    others = np.arange(gram.shape[1]) != 1
+    _, certified = hazecast.data._cholesky_inverse(gram[:, others][:, :, others], gram[:, 0, 0])
+    assert certified.tolist() == [True, True, True, False, True, True]
+    coef = hazecast.data._least_norm_coef(gram, 0, centre, scale)
+    full = [0, 1, 2, 4, 5]
+    alone = hazecast.data._least_norm_coef(gram[full], 0, centre[full], scale[full])
+    assert coef[full].tobytes() == alone.tobytes()
+    least_norm = hazecast.data._eigh_least_norm_coef(gram[3:4], 0, centre[3:4], scale[3:4])
+    assert coef[3:4].tobytes() == least_norm.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cholesky_solve_matches_eigh_on_full_rank_grams(seed):
+    gram, centre, scale = design_grams(seed, stations=50)
+    for c in range(gram.shape[1] - 1):
+        fast = hazecast.data._least_norm_coef(gram, c, centre, scale)
+        slow = hazecast.data._eigh_least_norm_coef(gram, c, centre, scale)
+        assert np.all(np.abs(fast - slow) <= 1e-10 * np.abs(slow).max(axis=1, keepdims=True))
+
+
 def test_imputation_needs_two_observed_values():
     panel = correlated_panel()
     panel.values[:, 3, 0] = np.nan
@@ -489,6 +522,18 @@ def test_load_corpus_reads_gaps_as_nan(tmp_path):
     lines = (tmp_path / "series" / "b.csv").read_text().splitlines()
     cells = lines[5].split(",")[1:]     # data row 4
     assert [c == "" for c in cells] == np.isnan(panel.values[4, 1]).tolist()
+
+
+@pytest.mark.parametrize("name, lineno", [("manifest.txt", 3), ("stations.csv", 2), ("series/b.csv", 7)],
+                         ids=["manifest", "stations", "series"])
+def test_input_that_is_not_utf8_refused_with_its_line(tmp_path, name, lineno):
+    manifest = write_corpus(tmp_path)
+    path = tmp_path / name
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] += b"\xe9"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError, match=re.escape(f"{path}:{lineno}: not UTF-8 text (byte 0xe9)")):
+        load_corpus(parse_manifest(manifest))
 
 
 def test_load_corpus_missing_file(tmp_path):
