@@ -310,15 +310,18 @@ def impute_chained(panel: RawPanel) -> RawPanel:
     per-station ``lstsq`` loop to 1e-8 of each feature's std (about 1e-11 on
     the benchmark corpora); as both paths solve normal equations, the error
     grows with the square of a design's condition number.  BLAS runs on one
-    thread.
+    thread.  ``panel`` is only read: at the peak it is alive beside the (S, T+1,
+    C+1) design of the S gappy stations, its (S, T, C) masks and one feature's
+    gathers, and the output's copy of the panel is made after they are freed.
     """
-    values = panel.values.copy()
+    values = panel.values
     gappy = np.flatnonzero(np.isnan(values).any(axis=(0, 2)))
     n_st, n_steps, n_feat = len(gappy), values.shape[0], values.shape[2]
     design = np.zeros((n_st, n_steps + 1, n_feat + 1))   # the last row stays zero and pads gathers
     design[:, :n_steps, 0] = 1.0
     z = design[:, :n_steps, 1:]
-    z[...] = values[:, gappy].transpose(1, 0, 2)
+    for s, station in enumerate(gappy):   # one station at a time, so no (T, S, C) temporary
+        z[s] = values[:, station]
     observed = ~np.isnan(z)
     n_obs = observed.sum(axis=1)
     if np.any(n_obs < 2):
@@ -333,8 +336,9 @@ def impute_chained(panel: RawPanel) -> RawPanel:
     scale = np.where(constant, 1.0, np.sqrt(np.einsum("stc,stc->sc", z, z) / n_obs))
     z /= scale[:, None]
     groups = [_gap_groups(observed, c, gappy, panel.n_stations) for c in range(n_feat)]
-    design_rows, design_cells, panel_cells = design.reshape(-1, n_feat + 1), design.ravel(), values.ravel()
+    design_rows, design_cells = design.reshape(-1, n_feat + 1), design.ravel()
     gram = design.transpose(0, 2, 1) @ design
+    fills = []   # (flat panel cells, values) of the last sweep, the only fills the panel keeps
     for sweep in range(IMPUTATION_SWEEPS):
         for c, feature_groups in enumerate(groups):
             reduced = gram.copy()
@@ -353,8 +357,12 @@ def impute_chained(panel: RawPanel) -> RawPanel:
                 gram[at, :, c + 1] += cross
                 gram[at, c + 1, c + 1] += (change * change).sum(axis=1)
                 design_cells[in_design] = (rows[..., c + 1] + change)[real]
-                if sweep == IMPUTATION_SWEEPS - 1:   # the panel keeps the last sweep's fills only
-                    panel_cells[in_panel] = pred[real]
+                if sweep == IMPUTATION_SWEEPS - 1:
+                    fills.append((in_panel, pred[real]))
+    del design, z, design_rows, design_cells, observed   # so the output copy does not add to the peak
+    values = panel.values.copy()
+    for in_panel, fill in fills:
+        np.put(values, in_panel, fill)
     out = replace(panel, values=values)
     out.validate()
     return out
@@ -476,9 +484,6 @@ class StandardizationStats:
     mean: np.ndarray
     std: np.ndarray
     dropped: tuple[str, ...]
-
-    def standardize(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
 
 
 def compute_stats(panel: RawPanel, train_rows: tuple[int, int]) -> StandardizationStats:
@@ -727,7 +732,10 @@ def _cache_fault(arrays: dict, meta: dict) -> str | None:
 
 
 def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedData, dict]:
-    """Run the full preparation pipeline; returns the cache and a data report."""
+    """Run the full preparation pipeline; returns the cache and a data report.
+
+    The cache's arrays are C-ordered and own their data, as a loaded cache's do.
+    """
     panel, stations = load_corpus(manifest)
     missing = np.isnan(panel.values)
     report = {
@@ -736,9 +744,10 @@ def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedDat
         "missing_pct": 100.0 * float(missing.mean()),
         "missing_pct_by_feature": dict(zip(panel.features, (100.0 * missing.mean(axis=(0, 1))).tolist())),
     }
-    del missing   # a (T, L, C) mask; freed before imputation, which sets the memory peak
+    del missing   # a (T, L, C) mask, freed before imputation, whose design sets the memory peak
 
     complete = impute_chained(panel)
+    del panel   # from here on the imputed panel is the only one
     splits = split_temporal(complete.timestamps, manifest.splits)
     for name in SPLIT_NAMES:
         lo, hi = splits[name]
@@ -746,23 +755,24 @@ def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedDat
 
     network = build_network(stations, threshold_km)
     report["edges"] = network.n_edges
+    wind = np.take(complete.values, [complete.features.index("u10"), complete.features.index("v10")], axis=2)
+    edge_mean, edge_std = edge_attribute_stats(network, wind[slice(*splits["train"])])   # before x, y: (T, E) temporaries
 
     stats = compute_stats(complete, splits["train"])
-    kept_idx = [complete.features.index(f) for f in stats.features]
-    std_values = stats.standardize(complete.values[:, :, kept_idx])
     target_pos = stats.features.index(TARGET)
     x_pos = [k for k in range(len(stats.features)) if k != target_pos]
-
-    wind = complete.values[:, :, [complete.features.index("u10"), complete.features.index("v10")]]
-    lo, hi = splits["train"]
-    edge_mean, edge_std = edge_attribute_stats(network, wind[lo:hi])
+    x = np.take(complete.values, [complete.features.index(f) for f in stats.features if f != TARGET], axis=2)
+    y = np.take(complete.values, complete.features.index(TARGET), axis=2)
+    for block, pos in ((x, x_pos), (y, target_pos)):   # standardized in place, no temporaries
+        block -= stats.mean[pos]
+        block /= stats.std[pos]
 
     prepared = PreparedData(
         timestamps=complete.timestamps,
         station_ids=complete.station_ids,
         coords=network.coordinates(),
-        x=std_values[:, :, x_pos],
-        y=std_values[:, :, target_pos],
+        x=x,
+        y=y,
         spacetime=spacetime_features(complete.timestamps),
         wind=wind,
         edge_mean=edge_mean,
