@@ -10,8 +10,7 @@ Only the primitives the forecasting layers and their losses need are
 implemented: ``+``, ``-`` and ``*`` of two tensors of one shape (``*`` also
 takes a Python number, as a node with one parent), tanh, the sum and mean of
 all entries, joining 2-D tensors by columns or rows, and row blocks.
-:func:`segment_sum` sums rows by index in time and memory linear in the
-number of rows summed.  Everything runs single-threaded over numpy (see
+Everything runs single-threaded over numpy (see
 :func:`single_threaded_blas`), so identical inputs give bit-identical results.
 ``backward`` sums each tensor's gradients into a zeroed buffer it allocated,
 so it never writes an array it was handed.  A row block (:meth:`Tensor.rows`)
@@ -103,24 +102,6 @@ def single_threaded_blas():
     finally:
         if prev != 1:
             threads[1](prev)
-
-
-def segment_sum(values, index, n_rows: int, cache: dict | None = None) -> np.ndarray:
-    """Sum the rows of ``values`` into ``n_rows`` rows: row ``index[k]`` gets ``values[k]``.
-
-    Rows that no index hits stay zero.  Each output row accumulates its
-    inputs in index order, so the result is deterministic and bit-identical
-    to ``np.add.at``; one flat ``np.bincount`` over (row, column) cells does
-    the work without materializing any (n_rows, len(index)) array.  A caller
-    that sums by one index often keeps a ``cache`` of its cells per row width.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    width = int(np.prod(values.shape[1:], dtype=np.int64))
-    cache = {} if cache is None else cache
-    if width not in cache:
-        cache[width] = (np.asarray(index, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(cache[width], weights=values.ravel(), minlength=n_rows * width)
-    return out.reshape((n_rows,) + values.shape[1:])
 
 
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

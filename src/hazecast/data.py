@@ -476,18 +476,10 @@ def _eigh_least_norm_coef(gram: np.ndarray, c: int, centre: np.ndarray, scale: n
 # --------------------------------------------------------------------------- standardization
 
 
-@dataclass
-class StandardizationStats:
-    """Per-feature mean/std pooled over stations, training rows only."""
-
-    features: tuple[str, ...]       # kept features, original order; includes the target
-    mean: np.ndarray
-    std: np.ndarray
-    dropped: tuple[str, ...]
-
-
-def compute_stats(panel: RawPanel, train_rows: tuple[int, int]) -> StandardizationStats:
-    """Training-split standardization; constant non-target features are dropped."""
+def compute_stats(panel: RawPanel, train_rows: tuple[int, int]) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+    """Training-split standardization, pooled over stations: ``(features_kept, node_mean,
+    node_std, features_dropped)``.  Constant non-target features are dropped; the
+    kept ones, target included, stay in their original order."""
     lo, hi = train_rows
     train = panel.values[lo:hi].reshape(-1, len(panel.features))
     mean = train.mean(axis=0)
@@ -501,13 +493,7 @@ def compute_stats(panel: RawPanel, train_rows: tuple[int, int]) -> Standardizati
         else:
             dropped.append(name)
             warnings.warn(f"dropping constant feature {name!r} (zero training std)")
-    features = tuple(panel.features[k] for k in kept)
-    return StandardizationStats(
-        features=features,
-        mean=mean[kept],
-        std=std[kept],
-        dropped=tuple(dropped),
-    )
+    return [panel.features[k] for k in kept], mean[kept], std[kept], dropped
 
 
 # --------------------------------------------------------------------------- prepared data
@@ -582,7 +568,10 @@ class PreparedData:
     wind: np.ndarray                  # (T, L, 2) imputed u10, v10 in m/s
     edge_mean: np.ndarray             # (5,)
     edge_std: np.ndarray              # (5,)
-    stats: StandardizationStats
+    features_kept: list[str]          # x's columns and the target, in original order
+    node_mean: np.ndarray             # (len(features_kept),), training rows only
+    node_std: np.ndarray              # (len(features_kept),)
+    features_dropped: list[str]       # constant on the training rows
     splits: dict[str, tuple[int, int]]
     cadence_hours: float
     timezone: str
@@ -631,8 +620,8 @@ class PreparedData:
         return out
 
     def destandardize_target(self, values: np.ndarray) -> np.ndarray:
-        k = self.stats.features.index(TARGET)
-        return values * self.stats.std[k] + self.stats.mean[k]
+        k = self.features_kept.index(TARGET)
+        return values * self.node_std[k] + self.node_mean[k]
 
     # -- persistence --------------------------------------------------------
 
@@ -645,16 +634,16 @@ class PreparedData:
             "wind": self.wind,
             "edge_mean": self.edge_mean,
             "edge_std": self.edge_std,
-            "node_mean": self.stats.mean,
-            "node_std": self.stats.std,
+            "node_mean": self.node_mean,
+            "node_std": self.node_std,
             "split_bounds": np.array([self.splits[name] for name in SPLIT_NAMES], dtype=np.int64),
         }
         meta = {
             "kind": "hazecast-cache",
             "cache_version": CACHE_VERSION,
             "station_ids": self.station_ids,
-            "features_kept": list(self.stats.features),
-            "features_dropped": list(self.stats.dropped),
+            "features_kept": self.features_kept,
+            "features_dropped": self.features_dropped,
             "cadence_hours": self.cadence_hours,
             "timezone": self.timezone,
             "threshold_km": self.threshold_km,
@@ -672,18 +661,12 @@ class PreparedData:
             fault = _cache_fault(arrays, meta)
             if fault:
                 raise DataError(f"{path}: {fault}")
-            stats = StandardizationStats(
-                features=tuple(meta["features_kept"]),
-                mean=arrays["node_mean"],
-                std=arrays["node_std"],
-                dropped=tuple(meta["features_dropped"]),
-            )
             splits = {name: (int(lo), int(hi))
                       for name, (lo, hi) in zip(SPLIT_NAMES, arrays["split_bounds"])}
             timestamps = arrays["timestamps"].astype("datetime64[m]")
             return cls(
                 timestamps=timestamps,
-                station_ids=list(meta["station_ids"]),
+                station_ids=meta["station_ids"],
                 coords=arrays["coords"],
                 x=arrays["x"],
                 y=arrays["y"],
@@ -691,7 +674,10 @@ class PreparedData:
                 wind=arrays["wind"],
                 edge_mean=arrays["edge_mean"],
                 edge_std=arrays["edge_std"],
-                stats=stats,
+                features_kept=meta["features_kept"],
+                node_mean=arrays["node_mean"],
+                node_std=arrays["node_std"],
+                features_dropped=meta["features_dropped"],
                 splits=splits,
                 cadence_hours=float(meta["cadence_hours"]),
                 timezone=meta["timezone"],
@@ -702,18 +688,29 @@ class PreparedData:
 
 
 def _cache_fault(arrays: dict, meta: dict) -> str | None:
-    """What makes a cache's arrays and metadata disagree, or None.
+    """What makes a cache's arrays and metadata disagree, or differ from what ``save`` writes, or None.
 
-    Only shapes and the small arrays are read; the panels' values are left to
-    :meth:`WindowSample.validate`, once per window.
+    Only types, shapes and the small arrays are read; the panels' values are
+    left to :meth:`WindowSample.validate`, once per window.
     """
+    for key in ("station_ids", "features_kept", "features_dropped"):
+        if not (isinstance(meta[key], list) and all(isinstance(name, str) for name in meta[key])):
+            return f"{key} must be a list of strings"
+    if not isinstance(meta["timezone"], str):
+        return f"timezone must be a string, got {meta['timezone']!r}"
+    for key in ("cadence_hours", "threshold_km"):
+        if not (type(meta[key]) in (int, float) and 0.0 < meta[key] < math.inf):
+            return f"{key} must be positive and finite, got {meta[key]!r}"
     t, n, c = arrays["timestamps"].size, len(meta["station_ids"]), len(meta["features_kept"])
     shapes = {"timestamps": (t,), "coords": (n, 2), "x": (t, n, c - 1), "y": (t, n), "wind": (t, n, 2),
               "node_mean": (c,), "node_std": (c,), "edge_mean": (len(EDGE_FEATURES),),
               "edge_std": (len(EDGE_FEATURES),), "split_bounds": (len(SPLIT_NAMES), 2)}
     for name, shape in shapes.items():
+        dtype = np.dtype(np.int64 if name in ("timestamps", "split_bounds") else np.float64)
         if arrays[name].shape != shape:
             return f"array {name!r} has shape {arrays[name].shape}, expected {shape}"
+        if arrays[name].dtype != dtype:
+            return f"array {name!r} has dtype {arrays[name].dtype}, expected {dtype}"
     if TARGET not in meta["features_kept"]:
         return f"features_kept lacks the target {TARGET!r}"
     starts, stops = arrays["split_bounds"].T.tolist()
@@ -725,9 +722,6 @@ def _cache_fault(arrays: dict, meta: dict) -> str | None:
     means, stds = (np.concatenate([arrays[f"node_{k}"], arrays[f"edge_{k}"]]) for k in ("mean", "std"))
     if not (np.isfinite(means).all() and np.all((0.0 < stds) & (stds < np.inf))):
         return "standardization statistics must be finite, with every std positive"
-    threshold = meta["threshold_km"]
-    if not (type(threshold) in (int, float) and 0.0 < threshold < math.inf):
-        return f"threshold_km must be positive and finite, got {threshold!r}"
     return None
 
 
@@ -758,14 +752,14 @@ def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedDat
     wind = np.take(complete.values, [complete.features.index("u10"), complete.features.index("v10")], axis=2)
     edge_mean, edge_std = edge_attribute_stats(network, wind[slice(*splits["train"])])   # before x, y: (T, E) temporaries
 
-    stats = compute_stats(complete, splits["train"])
-    target_pos = stats.features.index(TARGET)
-    x_pos = [k for k in range(len(stats.features)) if k != target_pos]
-    x = np.take(complete.values, [complete.features.index(f) for f in stats.features if f != TARGET], axis=2)
+    kept, node_mean, node_std, dropped = compute_stats(complete, splits["train"])
+    target_pos = kept.index(TARGET)
+    x_pos = [k for k in range(len(kept)) if k != target_pos]
+    x = np.take(complete.values, [complete.features.index(f) for f in kept if f != TARGET], axis=2)
     y = np.take(complete.values, complete.features.index(TARGET), axis=2)
     for block, pos in ((x, x_pos), (y, target_pos)):   # standardized in place, no temporaries
-        block -= stats.mean[pos]
-        block /= stats.std[pos]
+        block -= node_mean[pos]
+        block /= node_std[pos]
 
     prepared = PreparedData(
         timestamps=complete.timestamps,
@@ -777,11 +771,14 @@ def prepare_corpus(manifest: Manifest, threshold_km: float) -> tuple[PreparedDat
         wind=wind,
         edge_mean=edge_mean,
         edge_std=edge_std,
-        stats=stats,
+        features_kept=kept,
+        node_mean=node_mean,
+        node_std=node_std,
+        features_dropped=dropped,
         splits=splits,
         cadence_hours=complete.cadence_hours,
         timezone=manifest.timezone,
         threshold_km=threshold_km,
     )
-    report["dropped_features"] = list(stats.dropped)
+    report["dropped_features"] = list(dropped)
     return prepared, report

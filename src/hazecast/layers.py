@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .autodiff import StepBuffers, Tensor, segment_sum, sigmoid
+from .autodiff import StepBuffers, Tensor, sigmoid
 from .errors import NumericError
 
 LOCATION_SCALE = np.array([90.0, 180.0])  # degrees -> [-1, 1]
@@ -180,9 +180,10 @@ class GruCell:
 
 
 #: Most edge rows of one graph-layer call over a union of hours.  The conv's
-#: forward and backward over 24 hours (2-vCPU VM) took 17.8 ms in 1-hour and
-#: 14.3 ms in 8-hour calls at 30 stations (272 edges), but 449, 576 and 726 ms
-#: at 1, 2 and 24 hours per call at 1000 stations (9866 edges).
+#: forward and backward over 24 hours (2-vCPU VM, medians of 41 and 9 runs)
+#: took 8.0-10.2 ms in 1-hour and 5.5-6.0 ms in 8-hour calls at 30 stations
+#: (242 edges), but 213-257, 230-243 and 357 ms at 1, 2 and 8 hours per call
+#: at 1000 stations (8946 edges).
 UNION_EDGE_ROWS = 2048
 
 
@@ -191,22 +192,19 @@ class GraphLayout:
 
     Holds the (source, sink) index arrays and each node's in-degree.  Per-edge
     rows are summed into nodes by :meth:`aggregate`, at each graph layer's
-    input width; it caches its cells per (side, width), and time and memory
-    grow linearly with the number of edges.
+    input width; time and memory grow linearly with the number of edges.
     :meth:`union` stacks k copies of the graph, one per hour, so that one
     call of a graph layer serves k hours (PyTorch Geometric's mini-batching).
-    A union makes its cells per call: kept, they added 7-11 MiB to the peak
-    RSS of a training run at the reference size.
     """
 
-    def __init__(self, edges: np.ndarray, n_nodes: int, cache_cells: bool = True):
+    def __init__(self, edges: np.ndarray, n_nodes: int):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.n_nodes = int(n_nodes)
         self.n_edges = int(edges.shape[0])
         self.src = edges[:, 0]
         self.dst = edges[:, 1]
         self.in_degree = np.bincount(self.dst, minlength=self.n_nodes)
-        self._cells = {"src": {}, "dst": {}} if cache_cells else {"src": None, "dst": None}
+        self._cells = {"src": {}, "dst": {}}
         self._unions: dict[int, GraphLayout] = {1: self}
 
     def union(self, k: int) -> "GraphLayout":
@@ -214,7 +212,7 @@ class GraphLayout:
         if k not in self._unions:
             offset = (np.arange(k) * self.n_nodes)[:, None, None]
             edges = np.stack((self.src, self.dst), axis=1)[None] + offset
-            self._unions[k] = GraphLayout(edges, k * self.n_nodes, cache_cells=False)
+            self._unions[k] = GraphLayout(edges, k * self.n_nodes)
         return self._unions[k]
 
     def hours_per_call(self, hours: int) -> int:
@@ -222,8 +220,16 @@ class GraphLayout:
         return max(1, min(hours, UNION_EDGE_ROWS // max(1, self.n_edges)))
 
     def aggregate(self, per_edge: np.ndarray, side: str = "dst") -> np.ndarray:
-        """Sum per-edge rows into the node at each edge's ``side`` ("dst" or "src"): (E, d) -> (L, d)."""
-        return segment_sum(per_edge, getattr(self, side), self.n_nodes, self._cells[side])
+        """Sum per-edge rows into the node at each edge's ``side`` ("dst" or "src"): (E, d) -> (L, d).
+
+        One flat ``np.bincount`` over (node, column) cells, built once per (side, width),
+        adds each node's rows in edge order, bit-identical to ``np.add.at``, with no (L, E) array.
+        """
+        width = per_edge.shape[1]
+        cells = self._cells[side].get(width)
+        if cells is None:
+            cells = self._cells[side][width] = (getattr(self, side)[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(cells, weights=per_edge.ravel(), minlength=self.n_nodes * width).reshape(self.n_nodes, width)
 
 
 def _segment_softmax(logits: np.ndarray, layout: GraphLayout) -> np.ndarray:
@@ -307,13 +313,11 @@ class TransformerConv:
             d_logits = alpha * (d_alpha - layout.aggregate(alpha * d_alpha)[dst]) * scale
             d_query_key = layout.aggregate(np.multiply(d_logits, x, out=x))
             d_query = d_query_key @ w_key.T
-            d_nodes = None
-            if nodes.requires_grad:  # the edge rows' gradient, summed into their sources
-                d_x *= alpha
-                np.take(query_key, dst, axis=0, out=x, mode="clip")  # unbuffered; forward checked dst
-                d_x += np.multiply(d_logits, x, out=x)
-                d_nodes = (g @ self.w_root.weight.data + d_query @ self.w_query.weight.data
-                           + layout.aggregate(d_x, "src")[:, :n_in])
+            d_x *= alpha  # the edge rows' gradient, summed into their sources
+            np.take(query_key, dst, axis=0, out=x, mode="clip")  # unbuffered; forward checked dst
+            d_x += np.multiply(d_logits, x, out=x)
+            d_nodes = (g @ self.w_root.weight.data + d_query @ self.w_query.weight.data
+                       + layout.aggregate(d_x, "src")[:, :n_in])
             # columns of the side-by-side gradients: node map, edge map, shared bias
             # (K's last column is a constant zero, so its gradient goes unused)
             gk, gm = query.T @ d_query_key, g.T @ mixed
@@ -467,10 +471,9 @@ class SpaceTimeEmbedding:
     def __init__(self, rng, embed_dim: int, name: str = "embed"):
         self.name = name
         self.embed_dim, self.out_dim = embed_dim, 4 * embed_dim
-        bound = math.sqrt(1.0 / embed_dim)
-        self.hour_table = Tensor(rng.uniform(-bound, bound, size=(24, embed_dim)), requires_grad=True)
-        self.dow_table = Tensor(rng.uniform(-bound, bound, size=(7, embed_dim)), requires_grad=True)
-        self.month_table = Tensor(rng.uniform(-bound, bound, size=(12, embed_dim)), requires_grad=True)
+        self.hour_table = Tensor(init_matrix(rng, 24, embed_dim), requires_grad=True)
+        self.dow_table = Tensor(init_matrix(rng, 7, embed_dim), requires_grad=True)
+        self.month_table = Tensor(init_matrix(rng, 12, embed_dim), requires_grad=True)
         self.location = Linear(rng, 2, embed_dim, name=f"{name}.location")
 
     def __call__(self, spacetime: np.ndarray, coords: np.ndarray) -> Tensor:
@@ -487,8 +490,9 @@ class SpaceTimeEmbedding:
         def backward(g):
             g = g.reshape(n_hours, n, self.out_dim)
             per_hour = g[:, :, :3 * e].sum(axis=1)
-            grads = [segment_sum(per_hour[:, k * e:(k + 1) * e], ids[:, k], len(table.data))
-                     for k, table in enumerate(tables)]
+            grads = [np.zeros(table.shape) for table in tables]
+            for k, d_table in enumerate(grads):
+                np.add.at(d_table, ids[:, k], per_hour[:, k * e:(k + 1) * e])
             d_loc = g[:, :, 3 * e:].sum(axis=0)
             return (*grads, *self.location.param_grads(d_loc, scaled))
 

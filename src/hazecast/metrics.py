@@ -18,6 +18,7 @@ reports mean and population standard deviation across seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,7 @@ def mse_loss(pred, truth) -> float:
 
 
 def rmse(pred, truth) -> float:
-    pred, truth = _as_pair(pred, truth)
-    return float(np.sqrt(np.add.reduce((pred - truth) ** 2, axis=None) / pred.size))
+    return math.sqrt(mse_loss(pred, truth))
 
 
 def mae(pred, truth) -> float:

@@ -270,5 +270,7 @@ class Forecaster:
             if arrays[name].shape != tensor.data.shape:
                 raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "
                                 f"expected {tensor.data.shape}")
+            if arrays[name].dtype != np.float64:
+                raise DataError(f"{path}: parameter {name} has dtype {arrays[name].dtype}, expected float64")
             tensor.data[...] = arrays[name]
         return model

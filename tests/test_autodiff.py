@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hazecast.autodiff import Tensor, concat, segment_sum, single_threaded_blas, zero_grads
+from hazecast.autodiff import Tensor, concat, single_threaded_blas, zero_grads
 from hazecast.layers import Linear
 
 from gradcheck import assert_gradients_match
@@ -183,36 +183,6 @@ def test_determinism_bitwise():
     l2, g2 = run()
     assert l1.tobytes() == l2.tobytes()
     assert g1.tobytes() == g2.tobytes()
-
-
-# ---------------------------------------------------------------- segment sum
-
-
-def add_at_oracle(values, index, n_rows):
-    out = np.zeros((n_rows,) + values.shape[1:])
-    np.add.at(out, index, values)
-    return out
-
-
-@pytest.mark.parametrize("width", [None, 1, 5])
-def test_segment_sum_bit_identical_to_add_at(width):
-    rng = np.random.default_rng(20)
-    index = rng.choice([0, 1, 3], size=60)  # repeated; rows 2, 4 and 5 are never hit
-    shape = (index.size,) if width is None else (index.size, width)
-    # long sums over mixed magnitudes make the summation order visible
-    values = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
-    got = segment_sum(values, index, 6)
-    expected = add_at_oracle(values, index, 6)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-    assert np.all(got[[2, 4, 5]] == 0.0)
-
-
-@pytest.mark.parametrize("shape", [(0,), (0, 3)])
-def test_segment_sum_empty_index(shape):
-    got = segment_sum(np.zeros(shape), np.zeros(0, dtype=np.int64), 4)
-    assert got.shape == (4,) + shape[1:]
-    assert np.all(got == 0.0)
 
 
 # ---------------------------------------------------------------- the affine map, on Linear

@@ -33,6 +33,7 @@ from hazecast.data import (
 )
 from hazecast.errors import DataError, UsageError
 from hazecast.geo import edge_attributes_at
+from hazecast.model import VARIANTS, Forecaster, ModelConfig
 
 
 # ---------------------------------------------------------------- import direction
@@ -451,9 +452,9 @@ def write_manifest(root, **changes):
     return path
 
 
-def series_lines(rng, steps=120):
-    """CSV lines of one station: 5 days hourly, about 5 % empty cells."""
-    stamps = np.datetime64("2020-01-01T00:00") + np.arange(steps) * np.timedelta64(60, "m")
+def series_lines(rng, steps=120, hours=1):
+    """CSV lines of one station: ``steps`` rows ``hours`` apart (5 days hourly), about 5 % empty cells."""
+    stamps = np.datetime64("2020-01-01T00:00") + np.arange(steps) * np.timedelta64(60 * hours, "m")
     values = rng.normal(size=(steps, len(FEATURES))) + np.arange(len(FEATURES))
     absent = rng.random(values.shape) < 0.05
     absent[:2] = False
@@ -464,15 +465,16 @@ def series_lines(rng, steps=120):
     return lines
 
 
-def write_corpus(root, sites=STATIONS, days=5, **manifest_changes):
-    """An hourly corpus of ``sites`` over ``days`` under ``root`` (3 stations, 5 days by default); returns the manifest path."""
+def write_corpus(root, sites=STATIONS, days=5, hours=1, **manifest_changes):
+    """A corpus of ``sites`` over ``days``, a row every ``hours``, under ``root`` (3 stations, 5 days
+    hourly by default); returns the manifest path."""
     rng = np.random.default_rng(11)
     (root / "series").mkdir()
     (root / "stations.csv").write_text(
         "id,latitude,longitude\n" + "".join(f"{i},{la},{lo}\n" for i, la, lo in sites))
     for sid, _, _ in sites:
-        (root / "series" / f"{sid}.csv").write_text("\n".join(series_lines(rng, 24 * days)) + "\n")
-    return write_manifest(root, **manifest_changes)
+        (root / "series" / f"{sid}.csv").write_text("\n".join(series_lines(rng, 24 * days // hours, hours)) + "\n")
+    return write_manifest(root, cadence_hours=str(hours), **manifest_changes)
 
 
 def edit_series(root, sid, edit):
@@ -575,6 +577,33 @@ def test_load_corpus_cadence_gap(tmp_path):
         edit_series(tmp_path, sid, lambda lines: lines[:10] + lines[11:])   # drops 09:00
     with pytest.raises(DataError, match="cadence violated between 2020-01-01T08:00 and "
                                         "2020-01-01T10:00"):
+        load_corpus(manifest)
+
+
+def test_three_hourly_corpus_prepares_and_predicts(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path, hours=3))
+    prepared, report = prepare_corpus(manifest, threshold_km=20.0)
+    assert prepared.cadence_hours == 3.0 and report["rows"] == 40
+    assert sorted(set(prepared.spacetime[:, 0].tolist())) == list(range(0, 24, 3))
+    prepared.save(tmp_path / "cache.bin")
+    loaded = PreparedData.load(tmp_path / "cache.bin")
+    assert_bitwise_equal(prepared, loaded)
+    fresh, windows = prepared.windows("test", 4, 2), loaded.windows("test", 4, 2)
+    assert len(windows) == 8 - (4 + 2) + 1
+    for variant in VARIANTS:
+        cfg = ModelConfig(variant=variant, hidden=5, history_steps=4, forecast_steps=2, node_dim=loaded.node_dim)
+        model = Forecaster(cfg, loaded.network(), seed=0)
+        for a, b in zip(fresh, windows):
+            pred = model.predict(b)
+            assert np.all(np.isfinite(pred)) and pred.tobytes() == model.predict(a).tobytes()
+
+
+def test_two_hour_step_in_a_three_hourly_corpus_refused(tmp_path):
+    manifest = parse_manifest(write_corpus(tmp_path, hours=3))
+    for sid, _, _ in STATIONS:
+        edit_series(tmp_path, sid, set_cell(5, 0, "2020-01-01 08:00"))   # 06:00, 08:00, 12:00
+    with pytest.raises(DataError, match=re.escape("cadence violated between 2020-01-01T06:00 and "
+                                                  "2020-01-01T08:00 (expected 3.0 h)")):
         load_corpus(manifest)
 
 
@@ -724,20 +753,20 @@ def test_compute_stats_fits_training_rows_only():
     rng = np.random.default_rng(4)
     values = rng.normal(size=(12, 2, 3))
     values[8:] = 1e6    # rows outside the training range
-    stats = compute_stats(stats_panel(values), (0, 8))
+    kept, mean, std, dropped = compute_stats(stats_panel(values), (0, 8))
     train = values[:8].reshape(-1, 3)
-    assert stats.features == ("rh", "pm25", "tp") and stats.dropped == ()
-    assert stats.mean.tobytes() == train.mean(axis=0).tobytes()
-    assert stats.std.tobytes() == train.std(axis=0).tobytes()
+    assert kept == ["rh", "pm25", "tp"] and dropped == []
+    assert mean.tobytes() == train.mean(axis=0).tobytes()
+    assert std.tobytes() == train.std(axis=0).tobytes()
 
 
 def test_compute_stats_drops_feature_constant_on_training_rows():
     values = np.random.default_rng(4).normal(size=(12, 2, 3))
     values[:8, :, 2] = 0.0    # tp varies only outside the training rows
     with pytest.warns(UserWarning, match="dropping constant feature 'tp'"):
-        stats = compute_stats(stats_panel(values), (0, 8))
-    assert stats.features == ("rh", "pm25") and stats.dropped == ("tp",)
-    assert stats.mean.shape == stats.std.shape == (2,)
+        kept, mean, std, dropped = compute_stats(stats_panel(values), (0, 8))
+    assert kept == ["rh", "pm25"] and dropped == ["tp"]
+    assert mean.shape == std.shape == (2,)
 
 
 def test_compute_stats_rejects_constant_target():
@@ -955,6 +984,21 @@ CACHE_FAULTS = {
                       "threshold_km must be positive and finite, got nan"),
     "text threshold": (set_meta("threshold_km", lambda t: "20"),
                        "threshold_km must be positive and finite, got '20'"),
+    "int64 x": (set_array("x", lambda x: np.round(x).astype(np.int64)),
+                "array 'x' has dtype int64, expected float64"),
+    "float timestamps": (set_array("timestamps", lambda t: t.astype(np.float64)),
+                         "array 'timestamps' has dtype float64, expected int64"),
+    "float split bounds": (set_array("split_bounds", lambda b: b.astype(np.float64)),
+                           "array 'split_bounds' has dtype float64, expected int64"),
+    "text cadence": (set_meta("cadence_hours", lambda c: "x"), "cadence_hours must be positive and finite, got 'x'"),
+    "negative cadence": (set_meta("cadence_hours", lambda c: -1.0),
+                         "cadence_hours must be positive and finite, got -1.0"),
+    "features_kept a number": (set_meta("features_kept", lambda f: 5), "features_kept must be a list of strings"),
+    "features_dropped a number": (set_meta("features_dropped", lambda f: 3),
+                                  "features_dropped must be a list of strings"),
+    "numeric station ids": (set_meta("station_ids", lambda ids: list(range(len(ids)))),
+                            "station_ids must be a list of strings"),
+    "numeric timezone": (set_meta("timezone", lambda z: 8), "timezone must be a string, got 8"),
 }
 
 

@@ -172,6 +172,19 @@ class TestGruCell:
 # ---------------------------------------------------------------- graph layout
 
 
+def kept_cells(layout, run):
+    """``layout``'s cells per side and width after ``run()``, checked to be the same
+    arrays, none added, after three more runs."""
+    run()
+    cells = {side: dict(by_width) for side, by_width in layout._cells.items()}
+    for _ in range(3):
+        run()
+    for side, by_width in cells.items():
+        assert layout._cells[side].keys() == by_width.keys()
+        assert all(layout._cells[side][width] is by_width[width] for width in by_width)
+    return cells
+
+
 class TestGraphLayout:
     def test_in_degree_counts_in_edges(self):
         layout = tiny_graph()
@@ -203,15 +216,23 @@ class TestGraphLayout:
         layout = tiny_graph()
         nodes = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         feats = rng.normal(size=(3, 2))
-        conv(nodes, layout, feats).sum().backward()
-        cells = {side: dict(by_width) for side, by_width in layout._cells.items()}
-        for _ in range(3):
-            conv(nodes, layout, feats).sum().backward()
-        for side, by_width in cells.items():  # the same arrays, none added
-            assert layout._cells[side].keys() == by_width.keys()
-            assert all(layout._cells[side][width] is by_width[width] for width in by_width)
+        cells = kept_cells(layout, lambda: conv(nodes, layout, feats).sum().backward())
         # per-edge rows are [node input, edge input, 1], never the output width
         assert cells["dst"].keys() | cells["src"].keys() == {1, 3 + 2 + 1}
+
+        # the union of hours that a model's encoder calls keeps its cells too
+        stations = [Station(f"s{k}", 25.0 + 0.01 * k, 85.0 + 0.01 * k * k) for k in range(3)]
+        net = build_network(stations, threshold_km=6.0)
+        model = Forecaster(ModelConfig("agnn_gru", hidden=4, history_steps=4, forecast_steps=2, node_dim=2),
+                           net, seed=0)
+        union = model.layout.union(model.layout.hours_per_call(4))
+        assert union.n_nodes == 4 * 3
+        sample = WindowSample(x=rng.normal(size=(4, 3, 2)), y_hist=rng.normal(size=(4, 3)),
+                              spacetime=np.tile([0, 0, 1], (6, 1)), coords=net.coordinates(),
+                              edge_feats=edge_attributes_at(net, rng.normal(size=(4, 3, 2))))
+        cells = kept_cells(union, lambda: model.forward(sample).sum().backward())
+        width = 2 + model.embed.out_dim + 1 + 5 + 1   # [x, embedding, y, edge attributes, 1]
+        assert (cells["dst"].keys(), cells["src"].keys()) == ({1, width}, {width})
 
     def test_memory_linear_in_edges(self):
         # ~9k edges on 1000 nodes: a dense (nodes x edges) sink would be 72 MB
@@ -501,13 +522,7 @@ class TestScalarGraphConv:
         coef = rng.uniform(0.2, 1.0, size=3)
         out = conv(nodes, layout, coef)
         assert recorded_nodes(out, stop=(nodes,)) == 1
-        out.sum().backward()
-        cells = {side: dict(by_width) for side, by_width in layout._cells.items()}
-        for _ in range(3):
-            conv(nodes, layout, coef).sum().backward()
-        for side, by_width in cells.items():  # the same arrays, none added
-            assert layout._cells[side].keys() == by_width.keys()
-            assert all(layout._cells[side][width] is by_width[width] for width in by_width)
+        cells = kept_cells(layout, lambda: conv(nodes, layout, coef).sum().backward())
         # per-edge rows are [node input, 1], never the output width
         assert cells["dst"].keys() | cells["src"].keys() == {3 + 1}
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hazecast.autodiff import Tensor, concat
-from hazecast.container import save_arrays
+from hazecast.container import load_arrays, save_arrays
 from hazecast.data import WindowSample
 from hazecast.errors import DataError, UsageError
 from hazecast.geo import Station, build_network, edge_attributes_at
@@ -500,6 +500,16 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=re.escape(message)):
             Forecaster.load(path)
 
+    def test_parameter_of_another_dtype_rejected(self, tmp_path):
+        path = self.write(tmp_path / "m.bin")
+        arrays, meta = load_arrays(path)
+        name = next(name for name in arrays if name.endswith(".bias"))
+        arrays[name] = arrays[name] == 0.0    # zeros as 0/1 weights
+        save_arrays(path, arrays, meta)
+        message = f"{path}: parameter {name} has dtype bool, expected float64"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Forecaster.load(path)
+
     def test_missing_checkpoint_file_rejected(self, tmp_path):
         path = tmp_path / "absent.bin"
         with pytest.raises(DataError, match=re.escape(f"{path}: cannot read input file")):
@@ -522,7 +532,7 @@ class TestCheckpoint:
             Forecaster.load(self.write(tmp_path / "m.bin", version=4, embed_dim=EMBED_DIM))
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
-        from hazecast.container import save_arrays
+        from hazecast.container import load_arrays, save_arrays
         from hazecast.errors import DataError
         path = tmp_path / "x.bin"
         save_arrays(path, {"a": np.ones(3)}, {"kind": "other"})
