@@ -46,6 +46,10 @@ PLAIN_BYTES = b"0123456789eE+-.,:T \r\n"   # every byte of a series file's body 
 CACHE_VERSION = 2
 MANIFEST_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
+#: The cache's float64 arrays, in file order (between ``timestamps`` and ``split_bounds``),
+#: and its metadata fields; each is stored and restored under its ``PreparedData`` name.
+CACHE_FLOATS = ("coords", "x", "y", "wind", "edge_mean", "edge_std", "node_mean", "node_std")
+CACHE_META = ("station_ids", "features_kept", "features_dropped", "cadence_hours", "timezone", "threshold_km")
 IMPUTATION_SWEEPS = 5
 
 
@@ -626,29 +630,11 @@ class PreparedData:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        arrays = {
-            "timestamps": self.timestamps.astype("datetime64[m]").astype(np.int64),
-            "coords": self.coords,
-            "x": self.x,
-            "y": self.y,
-            "wind": self.wind,
-            "edge_mean": self.edge_mean,
-            "edge_std": self.edge_std,
-            "node_mean": self.node_mean,
-            "node_std": self.node_std,
-            "split_bounds": np.array([self.splits[name] for name in SPLIT_NAMES], dtype=np.int64),
-        }
-        meta = {
-            "kind": "hazecast-cache",
-            "cache_version": CACHE_VERSION,
-            "station_ids": self.station_ids,
-            "features_kept": self.features_kept,
-            "features_dropped": self.features_dropped,
-            "cadence_hours": self.cadence_hours,
-            "timezone": self.timezone,
-            "threshold_km": self.threshold_km,
-        }
-        save_arrays(path, arrays, meta)
+        arrays = {"timestamps": self.timestamps.astype("datetime64[m]").astype(np.int64),
+                  **{name: getattr(self, name) for name in CACHE_FLOATS},
+                  "split_bounds": np.array([self.splits[name] for name in SPLIT_NAMES], dtype=np.int64)}
+        meta = {name: getattr(self, name) for name in CACHE_META}
+        save_arrays(path, arrays, {"kind": "hazecast-cache", "cache_version": CACHE_VERSION, **meta})
 
     @classmethod
     def load(cls, path) -> "PreparedData":
@@ -657,45 +643,31 @@ class PreparedData:
             raise DataError(f"{path}: not a prepared-data cache")
         if meta.get("cache_version") != CACHE_VERSION:
             raise DataError(f"{path}: unsupported cache version {meta.get('cache_version')}")
-        try:
+        try:   # the fields are read here and the check reads the rest, so no later line raises KeyError
+            fields = {name: arrays[name] for name in CACHE_FLOATS} | {key: meta[key] for key in CACHE_META}
             fault = _cache_fault(arrays, meta)
-            if fault:
-                raise DataError(f"{path}: {fault}")
-            splits = {name: (int(lo), int(hi))
-                      for name, (lo, hi) in zip(SPLIT_NAMES, arrays["split_bounds"])}
-            timestamps = arrays["timestamps"].astype("datetime64[m]")
-            return cls(
-                timestamps=timestamps,
-                station_ids=meta["station_ids"],
-                coords=arrays["coords"],
-                x=arrays["x"],
-                y=arrays["y"],
-                spacetime=spacetime_features(timestamps),
-                wind=arrays["wind"],
-                edge_mean=arrays["edge_mean"],
-                edge_std=arrays["edge_std"],
-                features_kept=meta["features_kept"],
-                node_mean=arrays["node_mean"],
-                node_std=arrays["node_std"],
-                features_dropped=meta["features_dropped"],
-                splits=splits,
-                cadence_hours=float(meta["cadence_hours"]),
-                timezone=meta["timezone"],
-                threshold_km=float(meta["threshold_km"]),
-            )
         except KeyError as exc:
             raise DataError(f"{path}: cache lacks the metadata key or array {exc}") from None
+        if fault:
+            raise DataError(f"{path}: {fault}")
+        timestamps = arrays["timestamps"].astype("datetime64[m]")
+        splits = {name: (int(lo), int(hi)) for name, (lo, hi) in zip(SPLIT_NAMES, arrays["split_bounds"])}
+        return cls(timestamps=timestamps, spacetime=spacetime_features(timestamps), splits=splits, **fields)
 
 
 def _cache_fault(arrays: dict, meta: dict) -> str | None:
     """What makes a cache's arrays and metadata disagree, or differ from what ``save`` writes, or None.
 
     Only types, shapes and the small arrays are read; the panels' values are
-    left to :meth:`WindowSample.validate`, once per window.
+    left to :meth:`WindowSample.validate`, once per window.  None comes only
+    after every stored name was read; a missing one raises ``KeyError``.
     """
     for key in ("station_ids", "features_kept", "features_dropped"):
         if not (isinstance(meta[key], list) and all(isinstance(name, str) for name in meta[key])):
             return f"{key} must be a list of strings"
+    ids = meta["station_ids"]
+    if len(set(ids)) != len(ids):
+        return f"duplicate station ids: {sorted({sid for sid in ids if ids.count(sid) > 1})}"
     if not isinstance(meta["timezone"], str):
         return f"timezone must be a string, got {meta['timezone']!r}"
     for key in ("cadence_hours", "threshold_km"):
@@ -706,7 +678,7 @@ def _cache_fault(arrays: dict, meta: dict) -> str | None:
               "node_mean": (c,), "node_std": (c,), "edge_mean": (len(EDGE_FEATURES),),
               "edge_std": (len(EDGE_FEATURES),), "split_bounds": (len(SPLIT_NAMES), 2)}
     for name, shape in shapes.items():
-        dtype = np.dtype(np.int64 if name in ("timestamps", "split_bounds") else np.float64)
+        dtype = np.dtype(np.float64 if name in CACHE_FLOATS else np.int64)
         if arrays[name].shape != shape:
             return f"array {name!r} has shape {arrays[name].shape}, expected {shape}"
         if arrays[name].dtype != dtype:

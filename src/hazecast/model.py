@@ -104,29 +104,21 @@ class Forecaster:
         self.config = config
         rng = np.random.default_rng(seed)
 
+        self.embed = SpaceTimeEmbedding(rng, EMBED_DIM, name="embed")
+        # per-node encoder input: attributes + spacetime embedding + target
+        p, hidden = config.node_dim + self.embed.out_dim + 1, config.hidden
+        self.layout = self.edge_coef = self.conv = None
         if config.graph_mode != "none":
             if network is None:
                 raise UsageError(f"graph mode {config.graph_mode!r} needs a station network")
             self.layout = GraphLayout(network.edges, network.n_stations)
-        else:
-            self.layout = None
-        if config.graph_mode == "binary":
-            # mean aggregation: every sink of an edge has in-degree >= 1
-            self.edge_coef = 1.0 / self.layout.in_degree[self.layout.dst]
-        elif config.graph_mode == "inverse-distance":
-            self.edge_coef = inverse_distance_weights(network)
-        else:
-            self.edge_coef = None
-
-        self.embed = SpaceTimeEmbedding(rng, EMBED_DIM, name="embed")
-        # per-node encoder input: attributes + spacetime embedding + target
-        p, hidden = config.node_dim + self.embed.out_dim + 1, config.hidden
-        if config.graph_mode == "edge-attrs":
-            self.conv = TransformerConv(rng, p, hidden, len(EDGE_FEATURES), name="encoder.conv")
-        elif config.graph_mode in ("binary", "inverse-distance"):
-            self.conv = ScalarGraphConv(rng, p, hidden, name="encoder.conv")
-        else:
-            self.conv = None
+            if config.graph_mode == "edge-attrs":
+                self.conv = TransformerConv(rng, p, hidden, len(EDGE_FEATURES), name="encoder.conv")
+            else:
+                self.conv = ScalarGraphConv(rng, p, hidden, name="encoder.conv")
+                # binary: the mean over in-edges; every sink of an edge has in-degree >= 1
+                self.edge_coef = (1.0 / self.layout.in_degree[self.layout.dst] if config.graph_mode == "binary"
+                                  else inverse_distance_weights(network))
         enc_in = p + (hidden if self.conv is not None else 0)
         self.encoder_gru = GruCell(rng, enc_in, hidden, name="encoder.gru")
         self.encoder_head = Mlp(rng, hidden, hidden, name="encoder.head")
@@ -136,10 +128,8 @@ class Forecaster:
         self.decoder_head = Mlp(rng, hidden, hidden, name="decoder.head")
 
         self.params: dict[str, Tensor] = {}
-        for part in (self.embed, self.conv, self.encoder_gru, self.encoder_head,
-                     self.decoder_gru, self.attention, self.decoder_head):
-            if part is None:
-                continue
+        for part in filter(None, (self.embed, self.conv, self.encoder_gru, self.encoder_head,
+                                  self.decoder_gru, self.attention, self.decoder_head)):   # None: not in the variant
             for name, tensor in part.params():
                 if name in self.params:
                     raise RuntimeError(f"duplicate parameter name {name}")
@@ -272,5 +262,7 @@ class Forecaster:
                                 f"expected {tensor.data.shape}")
             if arrays[name].dtype != np.float64:
                 raise DataError(f"{path}: parameter {name} has dtype {arrays[name].dtype}, expected float64")
+            if not np.isfinite(arrays[name]).all():
+                raise DataError(f"{path}: parameter {name} holds non-finite values")
             tensor.data[...] = arrays[name]
         return model

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from datetime import date
 from pathlib import Path
 
@@ -863,6 +864,32 @@ def test_cache_round_trip_bit_exact(prepared, tmp_path):
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
+def test_int_threshold_survives_the_round_trip(tmp_path):
+    prepared, _ = prepare_corpus(parse_manifest(write_corpus(tmp_path)), threshold_km=20)
+    prepared.save(tmp_path / "cache.bin")
+    loaded = PreparedData.load(tmp_path / "cache.bin")
+    assert type(loaded.threshold_km) is int
+    assert_bitwise_equal(prepared, loaded)
+
+
+@pytest.mark.parametrize("constant_rh", [False, True])
+def test_destandardize_target_restores_observed_pm25(tmp_path, constant_rh):
+    """On every observed PM2.5 cell the destandardized target is the CSV value, also when
+    ``rh``, a feature before the target, is dropped for being constant on the training rows."""
+    manifest = parse_manifest(write_corpus(tmp_path))
+    if constant_rh:
+        for sid, _, _ in STATIONS:
+            edit_series(tmp_path, sid, lambda lines: lines[:1] + [
+                ",".join([stamp, "55.0", *rest]) for stamp, _, *rest in (line.split(",") for line in lines[1:])])
+    raw = load_corpus(manifest)[0].values[:, :, FEATURES.index("pm25")]
+    with pytest.warns(UserWarning, match="dropping constant feature 'rh'") if constant_rh else nullcontext():
+        prepared, _ = prepare_corpus(manifest, threshold_km=20.0)
+    assert prepared.features_dropped == (["rh"] if constant_rh else [])
+    observed = ~np.isnan(raw)
+    got = prepared.destandardize_target(prepared.y)[observed]
+    assert observed.mean() > 0.9 and np.abs(got - raw[observed]).max() <= 1e-12 * np.abs(raw[observed]).max()
+
+
 def test_prepared_arrays_are_c_ordered_like_a_loaded_cache(prepared, tmp_path):
     prepared.save(tmp_path / "cache.bin")
     loaded = PreparedData.load(tmp_path / "cache.bin")
@@ -999,6 +1026,8 @@ CACHE_FAULTS = {
     "numeric station ids": (set_meta("station_ids", lambda ids: list(range(len(ids)))),
                             "station_ids must be a list of strings"),
     "numeric timezone": (set_meta("timezone", lambda z: 8), "timezone must be a string, got 8"),
+    "repeated station id": (set_meta("station_ids", lambda ids: [ids[0], *ids[:-1]]),
+                            "duplicate station ids: ['a']"),
 }
 
 

@@ -510,6 +510,16 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=re.escape(message)):
             Forecaster.load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        path = self.write(tmp_path / "m.bin")
+        arrays, meta = load_arrays(path)
+        arrays["encoder.head.out.weight"][0, 0] = value
+        save_arrays(path, arrays, meta)
+        message = f"{path}: parameter encoder.head.out.weight holds non-finite values"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Forecaster.load(path)
+
     def test_missing_checkpoint_file_rejected(self, tmp_path):
         path = tmp_path / "absent.bin"
         with pytest.raises(DataError, match=re.escape(f"{path}: cannot read input file")):
